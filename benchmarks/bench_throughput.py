@@ -1,10 +1,11 @@
 """Tool throughput microbenchmarks (the paper quotes ~10 hours per 100M-
 instruction analysis on a DECstation 3100; these measure our stack).
 
-The ``test_analyzer_*`` / ``test_columnar_*`` pairs time the legacy
-tuple-per-record analyzer against the columnar kernels on the same
-100k-record espressox trace; the committed baseline numbers live in
-``benchmarks/BENCH_throughput.json``. To refresh it after kernel work::
+The ``test_columnar_*`` rows time ``analyze`` — the python frontier
+loops — per configuration family on one 100k-record espressox trace, and
+the ``test_vkernel_*`` rows the numpy backend on the same trace; the
+committed baseline numbers live in ``benchmarks/BENCH_throughput.json``.
+To refresh it after kernel work::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_throughput.py \\
         --benchmark-json=benchmarks/BENCH_throughput.json -q
@@ -17,7 +18,6 @@ import pytest
 from repro.core import vkernels
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
-from repro.core.kernels import analyze_columnar
 from repro.core.stream import stream_analyze_file
 from repro.cpu.machine import Machine
 from repro.engine import ExperimentEngine
@@ -39,43 +39,25 @@ def _tag_backend(benchmark, backend, kernel, gate=None):
 
 
 @pytest.fixture(scope="module")
-def bench_trace(store):
-    return store.trace("espressox", 100_000)
-
-
-@pytest.fixture(scope="module")
 def bench_columnar(store):
     trace = store.columnar("espressox", 100_000)
-    # Trace statistics are cached per trace, not part of a kernel run.
+    # Trace statistics and the operand-tuple view are cached per trace,
+    # not part of a kernel run.
     trace.census()
     trace.operand_counts()
+    trace.operand_tuples()
     return trace
 
 
-def test_analyzer_throughput_full_renaming(benchmark, bench_trace):
-    result = benchmark(analyze, bench_trace, AnalysisConfig())
-    assert result.records_processed == 100_000
-
-
-def test_analyzer_throughput_no_renaming(benchmark, bench_trace):
-    result = benchmark(analyze, bench_trace, AnalysisConfig.no_renaming())
-    assert result.records_processed == 100_000
-
-
-def test_analyzer_throughput_windowed(benchmark, bench_trace):
-    result = benchmark(analyze, bench_trace, AnalysisConfig(window_size=1024))
-    assert result.records_processed == 100_000
-
-
 def test_columnar_throughput_dataflow_kernel(benchmark, bench_columnar):
-    result = benchmark(analyze_columnar, bench_columnar, AnalysisConfig())
+    result = benchmark(analyze, bench_columnar, AnalysisConfig())
     _tag_backend(benchmark, "python", "dataflow")
     assert result.records_processed == 100_000
 
 
 def test_columnar_throughput_windowed_kernel(benchmark, bench_columnar):
     result = benchmark(
-        analyze_columnar, bench_columnar, AnalysisConfig(window_size=1024)
+        analyze, bench_columnar, AnalysisConfig(window_size=1024)
     )
     _tag_backend(benchmark, "python", "windowed")
     assert result.records_processed == 100_000
@@ -83,7 +65,7 @@ def test_columnar_throughput_windowed_kernel(benchmark, bench_columnar):
 
 def test_columnar_throughput_generic_kernel(benchmark, bench_columnar):
     result = benchmark(
-        analyze_columnar, bench_columnar, AnalysisConfig.no_renaming()
+        analyze, bench_columnar, AnalysisConfig.no_renaming()
     )
     _tag_backend(benchmark, "python", "generic")
     assert result.records_processed == 100_000
@@ -95,7 +77,7 @@ def test_vkernel_throughput_dataflow(benchmark, bench_columnar):
     dependence chains bound the frontier, so the speedup here is modest)."""
     vkernels.analyze_vectorized(bench_columnar, AnalysisConfig())  # warm index
     result = benchmark(
-        analyze_columnar, bench_columnar, AnalysisConfig(), backend="numpy"
+        analyze, bench_columnar, AnalysisConfig(), backend="numpy"
     )
     _tag_backend(benchmark, "numpy", "dataflow")
     assert result.records_processed == 100_000
@@ -104,20 +86,20 @@ def test_vkernel_throughput_dataflow(benchmark, bench_columnar):
 @requires_numpy
 def test_vkernel_throughput_generic(benchmark, bench_columnar):
     result = benchmark(
-        analyze_columnar, bench_columnar, AnalysisConfig.no_renaming(), backend="numpy"
+        analyze, bench_columnar, AnalysisConfig.no_renaming(), backend="numpy"
     )
     _tag_backend(benchmark, "numpy", "generic")
     assert result.records_processed == 100_000
 
 
-def test_columnar_decode_from_file(benchmark, store, bench_trace):
+def test_columnar_decode_from_file(benchmark, store):
     path, _ = store.ensure_on_disk("espressox", 100_000)
     trace = benchmark(ColumnarTrace.from_file, path)
     benchmark.extra_info["decode"] = "buffered"
     assert len(trace) == 100_000
 
 
-def test_columnar_decode_mmap(benchmark, store, bench_trace):
+def test_columnar_decode_mmap(benchmark, store):
     """Zero-copy decode: read-only mmap + vectorized column gathers."""
     path, _ = store.ensure_on_disk("espressox", 100_000)
     trace = benchmark(ColumnarTrace.from_pgt2_mmap, path)
@@ -138,6 +120,7 @@ def gate_columnar(store):
     trace = store.columnar("matrix300x", 100_000)
     trace.census()
     trace.operand_counts()
+    trace.operand_tuples()
     return trace
 
 
@@ -145,7 +128,7 @@ GATE_CONFIG = AnalysisConfig.registers_and_stack_renamed()
 
 
 def test_backend_gate_python(benchmark, gate_columnar):
-    result = benchmark(analyze_columnar, gate_columnar, GATE_CONFIG)
+    result = benchmark(analyze, gate_columnar, GATE_CONFIG)
     _tag_backend(benchmark, "python", "generic", gate="backend")
     assert result.records_processed == 100_000
 
@@ -156,7 +139,7 @@ def test_backend_gate_numpy(benchmark, gate_columnar):
     # above), so steady-state runs never pay it per analysis.
     vkernels.analyze_vectorized(gate_columnar, GATE_CONFIG)
     result = benchmark(
-        analyze_columnar, gate_columnar, GATE_CONFIG, backend="numpy"
+        analyze, gate_columnar, GATE_CONFIG, backend="numpy"
     )
     _tag_backend(benchmark, "numpy", "generic", gate="backend")
     assert result.records_processed == 100_000
@@ -191,7 +174,7 @@ def _record_peak_rss(benchmark):
 
 def test_inmemory_throughput_from_file(benchmark, stream_file):
     def run():
-        return analyze_columnar(ColumnarTrace.from_file(stream_file), AnalysisConfig())
+        return analyze(ColumnarTrace.from_file(stream_file), AnalysisConfig())
 
     result = benchmark(run)
     _record_peak_rss(benchmark)

@@ -2,10 +2,8 @@
 
 This package is the paper's primary contribution. Entry points:
 
-- :func:`analyze` — fast streaming forward pass (method 2); dispatches to
-  the columnar kernels when handed a
-  :class:`~repro.trace.columnar.ColumnarTrace`.
-- :func:`analyze_columnar` — config-specialized kernels over flat columns.
+- :func:`analyze` — the forward pass (method 2): one resumable frontier
+  advanced over the whole trace, or the vectorized backend.
 - :func:`twopass_analyze` — reverse-then-forward pass (method 1).
 - :func:`reference_analyze` — readable reference implementation.
 - :func:`build_ddg` — explicit networkx DDG for small traces.
@@ -13,7 +11,7 @@ This package is the paper's primary contribution. Entry points:
 """
 
 from repro.core.analyzer import analyze
-from repro.core.kernels import analyze_columnar, select_kernel
+from repro.core.kernels import select_kernel
 from repro.core.branch import PREDICTOR_NAMES, make_predictor
 from repro.core.config import (
     CONSERVATIVE,
@@ -36,7 +34,6 @@ from repro.core.twopass import compute_kill_lists, twopass_analyze
 
 __all__ = [
     "analyze",
-    "analyze_columnar",
     "select_kernel",
     "PREDICTOR_NAMES",
     "make_predictor",

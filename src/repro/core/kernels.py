@@ -1,73 +1,30 @@
-"""Config-specialized analysis kernels over columnar traces.
+"""Which placement loop a configuration runs.
 
-:func:`analyze_columnar` is the columnar counterpart of
-:func:`repro.core.analyzer.analyze`: same semantics, same
-:class:`~repro.core.results.AnalysisResult`, but the per-record loop scans
-the flat columns of a :class:`~repro.trace.columnar.ColumnarTrace` and is
-*specialized by configuration* instead of testing every switch per record:
+The python implementation of the placement rule is the resumable
+:class:`~repro.core.stream.Frontier`, and it runs one of three loops,
+specialized by configuration instead of testing every switch per record:
 
-- **dataflow-limit kernel** — full renaming, no window, no resource
-  limits, no branch predictor, perfect disambiguation, no lifetime
-  collection. This is the configuration every Table 2/3 experiment runs,
-  and the specialization is deep: with all storage dependencies renamed
-  away and no lifetime accounting, a live-well entry is just the level at
-  which its value became available, so the well is a plain ``dict[int,
-  int]`` — no per-record list allocation, no WAR bookkeeping, no
-  deepest-use updates. The inner loop is branch-free with respect to the
-  configuration (every config test is hoisted out of the loop).
-- **windowed kernel** — the dataflow-limit kernel plus the contiguous
-  instruction-window ring (Figure 8 sweeps).
-- **generic kernel** — everything else (partial renaming, resource
-  limits, branch predictors, conservative disambiguation, lifetime
-  collection): the full legacy semantics ported to columnar scanning.
-  This keeps :func:`analyze_columnar` total over the configuration
-  space, but generic configs revisit every operand 2-3 times per record
-  and tuple records serve that access pattern better (the operands are
-  already boxed), so :func:`repro.core.analyzer.analyze` routes generic
-  configs through a memoized ``to_buffer()`` instead.
+- **dataflow** — full renaming, no window, no resource limits, no branch
+  predictor, perfect disambiguation, no lifetime collection. This is the
+  configuration every Table 2/3 experiment runs, and the specialization
+  is deep: with all storage dependencies renamed away and no lifetime
+  accounting, a live-well entry is just the level at which its value
+  became available, so the well is a plain ``dict[int, int]`` — no
+  per-record list allocation, no WAR bookkeeping, no deepest-use updates.
+- **windowed** — the dataflow loop plus the contiguous instruction-window
+  ring (Figure 8 sweeps).
+- **generic** — everything else (partial renaming, resource limits,
+  branch predictors, conservative disambiguation, lifetime collection).
 
-Shared kernel idioms: one lockstep ``zip`` over the class column and the
-cached per-record operand arities with running iterators over the value
-columns (one C-speed ``next`` per operand, no offset arithmetic), unrolled
-one- and two-operand cases, per-placement level appends folded into a
-single C-speed ``Counter`` pass for the profile, cached trace-census reads
-for the class/branch tallies, inlined lifetime histogram accumulation with
-one end-of-trace flush, and peak live-well size read off the final well
-(the well never shrinks, so its final size *is* its peak — no per-record
-probe).
-
-Every kernel is cross-validated field-for-field against
-:mod:`repro.core.reference` and the legacy analyzer over the full
-configuration grid (``tests/core/test_kernels.py``).
+The vectorized backend (:mod:`repro.core.vkernels`) mirrors the same
+three-way split. Every loop is cross-validated field-for-field against
+:mod:`repro.core.reference` over the full configuration grid
+(``tests/core/test_kernels.py``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Optional
-
-from repro.core.branch import make_predictor
-from repro.core.config import (
-    CONSERVATIVE,
-    CONSERVATIVE_DISAMBIGUATION,
-    AnalysisConfig,
-)
-from repro.core.lifetimes import LifetimeStats
-from repro.core.livewell import NEVER_USED
-from repro.core.profile import ParallelismProfile
-from repro.core.resources import ResourceState
-from repro.core.results import AnalysisResult
-from repro.isa.locations import MEM_BASE
-from repro.obs import metrics as _obs
-from repro.obs.spans import span as _span
-from repro.isa.opclasses import OpClass
-from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN
-from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
-
-_SYSCALL = int(OpClass.SYSCALL)
-_BRANCH = int(OpClass.BRANCH)
-_LOAD = int(OpClass.LOAD)
-_STORE = int(OpClass.STORE)
+from repro.core.config import CONSERVATIVE_DISAMBIGUATION, AnalysisConfig
 
 KERNEL_DATAFLOW = "dataflow"
 KERNEL_WINDOWED = "windowed"
@@ -75,12 +32,12 @@ KERNEL_GENERIC = "generic"
 
 
 def select_kernel(config: AnalysisConfig) -> str:
-    """Which kernel :func:`analyze_columnar` will run for ``config``.
+    """Which loop an analysis under ``config`` runs.
 
-    The specialized kernels require every feature they omit to be off:
+    The specialized loops require every feature they omit to be off:
     full renaming, no resource limits, no branch predictor, perfect
     memory disambiguation, and no lifetime collection. Syscall policy and
-    profile collection are handled by both specialized kernels.
+    profile collection are handled by both specialized loops.
     """
     plain = (
         config.rename_registers
@@ -94,503 +51,3 @@ def select_kernel(config: AnalysisConfig) -> str:
     if not plain:
         return KERNEL_GENERIC
     return KERNEL_DATAFLOW if config.window_size is None else KERNEL_WINDOWED
-
-
-def analyze_columnar(
-    trace,
-    config: Optional[AnalysisConfig] = None,
-    segments: Optional[SegmentMap] = None,
-    backend: str = "python",
-) -> AnalysisResult:
-    """Run one Paragraph analysis over a :class:`ColumnarTrace`.
-
-    Drop-in equivalent of :func:`repro.core.analyzer.analyze` (which
-    routes here when handed a columnar trace); results are identical
-    field-for-field across the whole configuration space.
-
-    ``backend="numpy"`` routes eligible configurations through the
-    vectorized kernels (:mod:`repro.core.vkernels`) and falls back to
-    the python kernels — bit-identically — when NumPy is unavailable or
-    the configuration is ineligible. The backend is an execution
-    strategy, never a semantic knob.
-    """
-    if config is None:
-        config = AnalysisConfig()
-    if segments is None:
-        segments = getattr(trace, "segments", DEFAULT_SEGMENTS)
-    if backend != "python":
-        from repro.core import vkernels
-
-        if backend not in vkernels.BACKENDS:
-            raise ValueError(f"unknown analysis backend {backend!r}")
-        if vkernels.available() and vkernels.eligible(config):
-            return vkernels.analyze_vectorized(trace, config, segments)
-    kernel = select_kernel(config)
-    # The span is per analysis, not per record: with metrics off this is a
-    # single predicate on the null registry, keeping the kernels inside
-    # their <1% overhead budget; with metrics on it prices each kernel
-    # family separately (``span.kernel.scan.<kernel>.wall``).
-    if not _obs.enabled():
-        return _dispatch(kernel, trace, config, segments)
-    with _span(f"kernel.scan.{kernel}"):
-        return _dispatch(kernel, trace, config, segments)
-
-
-def _dispatch(kernel, trace, config, segments) -> AnalysisResult:
-    if kernel == KERNEL_DATAFLOW:
-        return _kernel_dataflow(trace, config)
-    if kernel == KERNEL_WINDOWED:
-        return _kernel_windowed(trace, config)
-    return _kernel_generic(trace, config, segments)
-
-
-def _result(config, records, placed, deepest, counts, syscalls, firewalls,
-            branches, mispredictions, peak, lifetimes) -> AnalysisResult:
-    """``counts`` is a level -> count mapping (or None when profiling is
-    off); the kernels accumulate it however is cheapest for their loop."""
-    return AnalysisResult(
-        records_processed=records,
-        placed_operations=placed,
-        critical_path_length=deepest + 1,
-        profile=ParallelismProfile(counts) if config.collect_profile else None,
-        syscalls=syscalls,
-        firewalls=firewalls,
-        branches=branches,
-        mispredictions=mispredictions,
-        peak_live_well=peak,
-        lifetimes=lifetimes,
-        config=config,
-    )
-
-
-def _kernel_dataflow(trace, config: AnalysisConfig) -> AnalysisResult:
-    """Dataflow-limit fast path: the well maps location -> level (plain
-    ints), sources only read it, destinations only overwrite it.
-
-    The loop zips the class column against the cached per-record operand
-    arities (:meth:`ColumnarTrace.operand_counts`) and consumes the value
-    columns through two running iterators — one C-speed ``next`` per
-    operand, no offset arithmetic and no boxed-index subscripts. One
-    source and one destination (the overwhelmingly common shapes) are
-    unrolled straight-line. Each placement appends its level to a flat
-    list, so ``placed`` is just its length and the profile histogram is
-    one C-speed :class:`Counter` pass at the end.
-    """
-    latency = config.latency.as_list()
-    conservative = config.syscall_policy == CONSERVATIVE
-    syscall_top = latency[_SYSCALL]
-    syscalls, branches = trace.census()
-    src_counts, dest_counts = trace.operand_counts()
-
-    ops = trace.opclass
-    src_it = iter(trace.src_values)
-    dest_it = iter(trace.dest_values)
-
-    well = {}
-    well_set = well.setdefault
-    levels = []
-    append = levels.append
-    floor_m1 = -1  # floor - 1, the only form the fast path needs
-    deepest = -1  # only maintained up through the last syscall...
-    mark = 0  # ...levels[mark:] hold the placements made since then
-
-    for klass, ns, nd in zip(ops, src_counts, dest_counts):
-        if klass < _SYSCALL:
-            # Ordinary value-creating operation. A first-touch source
-            # enters the well at floor - 1 via setdefault, which can never
-            # raise the base, so no missing-key branch is needed.
-            base = floor_m1
-            if ns == 1:
-                level = well_set(next(src_it), floor_m1)
-                if level > base:
-                    base = level
-            elif ns == 2:
-                level = well_set(next(src_it), floor_m1)
-                if level > base:
-                    base = level
-                level = well_set(next(src_it), floor_m1)
-                if level > base:
-                    base = level
-            elif ns:
-                for _ in range(ns):
-                    level = well_set(next(src_it), floor_m1)
-                    if level > base:
-                        base = level
-            level = base + latency[klass]
-            append(level)
-            if nd == 1:
-                well[next(dest_it)] = level
-            elif nd:
-                for _ in range(nd):
-                    well[next(dest_it)] = level
-        else:
-            # Control record or syscall: sources are never levels here,
-            # but the iterators must stay aligned with the class column.
-            if ns == 1:
-                next(src_it)
-            elif ns:
-                for _ in range(ns):
-                    next(src_it)
-            if klass == _SYSCALL and conservative:
-                if len(levels) > mark:
-                    since = max(levels[mark:])
-                    if since > deepest:
-                        deepest = since
-                level = deepest + 1
-                low = floor_m1 + syscall_top
-                if low > level:
-                    level = low
-                append(level)
-                deepest = level
-                floor_m1 = level
-                mark = len(levels)
-                for _ in range(nd):
-                    well[next(dest_it)] = level
-            elif nd:
-                for _ in range(nd):
-                    next(dest_it)
-
-    if len(levels) > mark:
-        since = max(levels[mark:])
-        if since > deepest:
-            deepest = since
-    counts = dict(Counter(levels)) if config.collect_profile else None
-    return _result(
-        config, len(ops), len(levels), deepest, counts, syscalls,
-        syscalls if conservative else 0, branches, 0, len(well), None,
-    )
-
-
-def _kernel_windowed(trace, config: AnalysisConfig) -> AnalysisResult:
-    """The dataflow-limit kernel plus the contiguous instruction window:
-    a ring of completion levels whose displaced entry raises the floor."""
-    latency = config.latency.as_list()
-    conservative = config.syscall_policy == CONSERVATIVE
-    syscall_top = latency[_SYSCALL]
-    syscalls, branches = trace.census()
-    src_counts, dest_counts = trace.operand_counts()
-
-    ops = trace.opclass
-    src_it = iter(trace.src_values)
-    dest_it = iter(trace.dest_values)
-
-    window = config.window_size
-    ring = [None] * window
-    ring_pos = 0
-
-    well = {}
-    well_set = well.setdefault
-    levels = []
-    append = levels.append
-    floor = 0
-    deepest = -1  # only maintained up through the last syscall...
-    mark = 0  # ...levels[mark:] hold the placements made since then
-
-    for klass, ns, nd in zip(ops, src_counts, dest_counts):
-        old = ring[ring_pos]
-        if old is not None and old >= floor:
-            floor = old + 1
-        if klass < _SYSCALL:
-            base = floor - 1
-            first_touch = base
-            if ns == 1:
-                level = well_set(next(src_it), first_touch)
-                if level > base:
-                    base = level
-            elif ns == 2:
-                level = well_set(next(src_it), first_touch)
-                if level > base:
-                    base = level
-                level = well_set(next(src_it), first_touch)
-                if level > base:
-                    base = level
-            elif ns:
-                for _ in range(ns):
-                    level = well_set(next(src_it), first_touch)
-                    if level > base:
-                        base = level
-            level = base + latency[klass]
-            append(level)
-            if nd == 1:
-                well[next(dest_it)] = level
-            elif nd:
-                for _ in range(nd):
-                    well[next(dest_it)] = level
-            ring[ring_pos] = level
-        else:
-            if ns == 1:
-                next(src_it)
-            elif ns:
-                for _ in range(ns):
-                    next(src_it)
-            if klass == _SYSCALL and conservative:
-                if len(levels) > mark:
-                    since = max(levels[mark:])
-                    if since > deepest:
-                        deepest = since
-                level = deepest + 1
-                low = floor - 1 + syscall_top
-                if low > level:
-                    level = low
-                append(level)
-                deepest = level
-                floor = level + 1
-                mark = len(levels)
-                for _ in range(nd):
-                    well[next(dest_it)] = level
-                ring[ring_pos] = level
-            else:
-                if nd:
-                    for _ in range(nd):
-                        next(dest_it)
-                ring[ring_pos] = None
-        ring_pos += 1
-        if ring_pos == window:
-            ring_pos = 0
-
-    if len(levels) > mark:
-        since = max(levels[mark:])
-        if since > deepest:
-            deepest = since
-    counts = dict(Counter(levels)) if config.collect_profile else None
-    return _result(
-        config, len(ops), len(levels), deepest, counts, syscalls,
-        syscalls if conservative else 0, branches, 0, len(well), None,
-    )
-
-
-def _kernel_generic(trace, config: AnalysisConfig, segments: SegmentMap) -> AnalysisResult:
-    """Full-semantics fallback: every analyzer feature, columnar scanning.
-
-    Live-well entries are ``[level, deepest_use, uses, preexisting]`` lists
-    exactly as in the legacy analyzer; lifetime histograms are accumulated
-    inline (no per-eviction method call) and flushed once at the end.
-    """
-    latency = config.latency.as_list()
-    rename_regs = config.rename_registers
-    rename_stack = config.rename_stack
-    rename_data = config.rename_data
-    all_renamed = rename_regs and rename_stack and rename_data
-    stack_bound = MEM_BASE + segments.stack_floor
-    conservative = config.syscall_policy == CONSERVATIVE
-    syscall_top = latency[_SYSCALL]
-    branch_top = latency[_BRANCH]
-    collect_profile = config.collect_profile
-    collect_lifetimes = config.collect_lifetimes
-    life_hist = {}
-    share_hist = {}
-    life_get = life_hist.get
-    share_get = share_hist.get
-    resources = None
-    if config.resources is not None and not config.resources.unconstrained:
-        resources = ResourceState(config.resources)
-    predictor = make_predictor(config.branch_predictor) if config.branch_predictor else None
-    conservative_mem = config.memory_disambiguation == CONSERVATIVE_DISAMBIGUATION
-    mem_store_level = NEVER_USED
-    mem_deepest_access = NEVER_USED
-    conditional = FLAG_CONDITIONAL
-    taken = FLAG_TAKEN
-
-    ops = trace.opclass
-    src_val = trace.src_values
-    dest_val = trace.dest_values
-    src_hi = iter(trace.src_offsets)
-    dest_hi = iter(trace.dest_offsets)
-    next(src_hi)
-    next(dest_hi)
-
-    window = config.window_size
-    ring = [None] * window if window else None
-    ring_pos = 0
-
-    well = {}
-    well_get = well.get
-    counts = []
-    counts_len = 0
-
-    never = NEVER_USED
-    floor = 0
-    deepest = -1
-    placed = 0
-    syscalls = 0
-    firewalls = 0
-    branches = 0
-    mispredictions = 0
-    s_lo = 0
-    d_lo = 0
-
-    for klass, flags, aux, s_hi, d_hi in zip(
-        ops, trace.flags, trace.aux, src_hi, dest_hi
-    ):
-        if ring is not None:
-            old = ring[ring_pos]
-            if old is not None and old >= floor:
-                floor = old + 1
-        if klass >= _BRANCH:  # BRANCH / JUMP / NOP: not placed in the DDG
-            if klass == _BRANCH and flags & conditional:
-                branches += 1
-                if predictor is not None:
-                    actual = bool(flags & taken)
-                    predicted = predictor.predict(aux)
-                    predictor.update(aux, actual)
-                    if predicted != actual:
-                        mispredictions += 1
-                        base = floor - 1
-                        for src in src_val[s_lo:s_hi]:
-                            entry = well_get(src)
-                            if entry is not None and entry[0] > base:
-                                base = entry[0]
-                        resolve = base + branch_top
-                        if resolve > floor:
-                            floor = resolve
-                            firewalls += 1
-            if ring is not None:
-                ring[ring_pos] = None
-                ring_pos += 1
-                if ring_pos == window:
-                    ring_pos = 0
-            s_lo = s_hi
-            d_lo = d_hi
-            continue
-
-        if klass == _SYSCALL:
-            syscalls += 1
-            if not conservative:
-                if ring is not None:
-                    ring[ring_pos] = None
-                    ring_pos += 1
-                    if ring_pos == window:
-                        ring_pos = 0
-                s_lo = s_hi
-                d_lo = d_hi
-                continue
-            level = deepest + 1
-            low = floor - 1 + syscall_top
-            if low > level:
-                level = low
-            firewalls += 1
-            placed += 1
-            if collect_profile:
-                if level >= counts_len:
-                    counts.extend([0] * (level + 1 - counts_len))
-                    counts_len = level + 1
-                counts[level] += 1
-            if level > deepest:
-                deepest = level
-            floor = level + 1
-            for dest in dest_val[d_lo:d_hi]:
-                old_entry = well_get(dest)
-                if collect_lifetimes and old_entry is not None and not old_entry[3]:
-                    uses = old_entry[2]
-                    life = old_entry[1] - old_entry[0] if uses else 0
-                    life_hist[life] = life_get(life, 0) + 1
-                    share_hist[uses] = share_get(uses, 0) + 1
-                well[dest] = [level, never, 0, False]
-            if ring is not None:
-                ring[ring_pos] = level
-                ring_pos += 1
-                if ring_pos == window:
-                    ring_pos = 0
-            s_lo = s_hi
-            d_lo = d_hi
-            continue
-
-        # Ordinary value-creating operation.
-        top = latency[klass]
-        base = floor - 1
-        first_touch = base
-        for src in src_val[s_lo:s_hi]:
-            entry = well_get(src)
-            if entry is None:
-                well[src] = [first_touch, never, 0, True]
-            elif entry[0] > base:
-                base = entry[0]
-        level = base + top
-
-        if not all_renamed:
-            for dest in dest_val[d_lo:d_hi]:
-                if dest < MEM_BASE:
-                    renamed = rename_regs
-                elif dest >= stack_bound:
-                    renamed = rename_stack
-                else:
-                    renamed = rename_data
-                if not renamed:
-                    entry = well_get(dest)
-                    if entry is not None:
-                        war = entry[1] + 1
-                        if war > level:
-                            level = war
-
-        if conservative_mem:
-            if klass == _LOAD:
-                if mem_store_level + top > level:
-                    level = mem_store_level + top
-            elif klass == _STORE:
-                if mem_deepest_access + 1 > level:
-                    level = mem_deepest_access + 1
-
-        if resources is not None:
-            level = resources.place(klass, level)
-
-        placed += 1
-        if collect_profile:
-            if level >= counts_len:
-                counts.extend([0] * (level + 1 - counts_len))
-                counts_len = level + 1
-            counts[level] += 1
-        if level > deepest:
-            deepest = level
-        if conservative_mem and (klass == _LOAD or klass == _STORE):
-            if level > mem_deepest_access:
-                mem_deepest_access = level
-            if klass == _STORE and level > mem_store_level:
-                mem_store_level = level
-
-        for src in src_val[s_lo:s_hi]:
-            entry = well[src]
-            if level > entry[1]:
-                entry[1] = level
-            entry[2] += 1
-
-        for dest in dest_val[d_lo:d_hi]:
-            old_entry = well_get(dest)
-            if collect_lifetimes and old_entry is not None and not old_entry[3]:
-                uses = old_entry[2]
-                life = old_entry[1] - old_entry[0] if uses else 0
-                life_hist[life] = life_get(life, 0) + 1
-                share_hist[uses] = share_get(uses, 0) + 1
-            well[dest] = [level, never, 0, False]
-
-        if ring is not None:
-            ring[ring_pos] = level
-            ring_pos += 1
-            if ring_pos == window:
-                ring_pos = 0
-        s_lo = s_hi
-        d_lo = d_hi
-
-    lifetimes = None
-    if collect_lifetimes:
-        for entry in well.values():
-            if not entry[3]:
-                uses = entry[2]
-                life = entry[1] - entry[0] if uses else 0
-                life_hist[life] = life_get(life, 0) + 1
-                share_hist[uses] = share_get(uses, 0) + 1
-        lifetimes = LifetimeStats(
-            lifetime_histogram=life_hist,
-            sharing_histogram=share_hist,
-            values_created=sum(share_hist.values()),
-            total_uses=sum(uses * count for uses, count in share_hist.items()),
-        )
-
-    profile_counts = None
-    if collect_profile:
-        profile_counts = {
-            level: count for level, count in enumerate(counts) if count
-        }
-    return _result(
-        config, len(ops), placed, deepest, profile_counts, syscalls,
-        firewalls, branches, mispredictions, len(well), lifetimes,
-    )

@@ -842,7 +842,7 @@ def analyze_vectorized(
 ) -> AnalysisResult:
     """One whole-trace analysis through the vectorized backend.
 
-    Bit-identical to :func:`repro.core.kernels.analyze_columnar` for
+    Bit-identical to the python frontier (:mod:`repro.core.stream`) for
     every :func:`eligible` configuration. Raises ``RuntimeError`` when
     NumPy is unavailable and ``ValueError`` for ineligible configs —
     callers that want graceful fallback route through

@@ -28,37 +28,12 @@ from repro.trace.buffer import TraceBuffer
 from repro.trace.columnar import ColumnarTrace
 
 
-def _analyze_legacy(trace, config: AnalysisConfig) -> AnalysisResult:
-    """The streaming hot loop, forced onto record tuples (``forward``
-    would route a columnar trace to the kernels). Late-binds through the
-    module attribute so the verification harness can mutate it."""
-    from repro.core import analyzer
-
-    if isinstance(trace, ColumnarTrace):
-        trace = trace.to_buffer()
-    return analyzer.analyze(trace, config)
-
-
-def _analyze_columnar(trace, config: AnalysisConfig, backend: str = "python") -> AnalysisResult:
-    """The config-specialized columnar kernels, forced for every config
-    (including generic ones ``forward`` would bounce back to tuples)."""
-    from repro.core import kernels
-
-    if not isinstance(trace, ColumnarTrace):
-        trace = ColumnarTrace.from_buffer(trace)
-    return kernels.analyze_columnar(trace, config, backend=backend)
-
-
 def _analyze_vkernel(trace, config: AnalysisConfig) -> AnalysisResult:
     """The vectorized NumPy backend (:mod:`repro.core.vkernels`), pinned
-    for the differential harness. Routes through the kernel dispatcher's
-    backend knob, so ineligible configurations (or a missing NumPy) fall
-    back to the python kernels — the results are identical either way."""
-    from repro.core import kernels
-
-    if not isinstance(trace, ColumnarTrace):
-        trace = ColumnarTrace.from_buffer(trace)
-    return kernels.analyze_columnar(trace, config, backend="numpy")
+    for the differential harness. Routes through ``analyze``'s backend
+    knob, so ineligible configurations (or a missing NumPy) fall back to
+    the python frontier — the results are identical either way."""
+    return analyze(trace, config, backend="numpy")
 
 
 def _analyze_reference(trace, config: AnalysisConfig) -> AnalysisResult:
@@ -118,9 +93,8 @@ def _analyze_segment(trace, config: AnalysisConfig, backend: str = "python"):
 #: return an :class:`AnalysisResult`. ``forward`` and ``twopass`` are the
 #: production pair (identical results except ``peak_live_well``, see
 #: :mod:`repro.core.twopass`); the rest pin one implementation each for
-#: the differential verification harness (:mod:`repro.verify`) — ``legacy``
-#: (streaming loop on tuples), ``columnar`` (kernels, every config),
-#: ``reference`` (readable live-well pass), and ``oracle`` (explicit DDG +
+#: the differential verification harness (:mod:`repro.verify`) —
+#: ``reference`` (readable live-well pass) and ``oracle`` (explicit DDG +
 #: longest path; sentinel ``firewalls``/``peak_live_well``). ``stream``
 #: and ``sharded`` run the bounded-memory chunk/shard machinery of
 #: :mod:`repro.core.stream` (results identical to ``forward``); ``segment``
@@ -130,8 +104,6 @@ def _analyze_segment(trace, config: AnalysisConfig, backend: str = "python"):
 METHODS: Dict[str, Callable[[TraceBuffer, AnalysisConfig], AnalysisResult]] = {
     "forward": analyze,
     "twopass": twopass_analyze,
-    "legacy": _analyze_legacy,
-    "columnar": _analyze_columnar,
     "vkernel": _analyze_vkernel,
     "reference": _analyze_reference,
     "oracle": _analyze_oracle,
@@ -141,13 +113,11 @@ METHODS: Dict[str, Callable[[TraceBuffer, AnalysisConfig], AnalysisResult]] = {
 }
 
 #: Methods whose fastest input is a :class:`ColumnarTrace`.
-_COLUMNAR_METHODS = frozenset(
-    {"forward", "columnar", "vkernel", "stream", "sharded", "segment"}
-)
+_COLUMNAR_METHODS = frozenset({"forward", "vkernel", "stream", "sharded", "segment"})
 
 #: Methods whose callable accepts a ``backend=`` keyword (the rest are
 #: implementation-pinned and ignore the job's backend preference).
-_BACKEND_METHODS = frozenset({"forward", "columnar", "stream", "sharded", "segment"})
+_BACKEND_METHODS = frozenset({"forward", "stream", "sharded", "segment"})
 
 
 @dataclass(frozen=True)
@@ -265,17 +235,16 @@ class AnalysisJob:
     def prefers_columnar(self) -> bool:
         """True when the job's method runs fastest on a
         :class:`~repro.trace.columnar.ColumnarTrace` (the forward analyzer
-        dispatches to the config-specialized kernels, and the ``columnar``
-        method requires one); tuple-scanning methods need the materialized
-        record list."""
+        and the streaming methods advance a frontier over columns);
+        tuple-scanning methods need the materialized record list."""
         return self.method in _COLUMNAR_METHODS
 
     def run(self, trace) -> AnalysisResult:
         """Execute this job against an already-loaded trace.
 
         Accepts either representation: a columnar trace is handed straight
-        to the kernel dispatcher for forward analyses and materialized back
-        to a record buffer for methods that need one.
+        to the frontier for forward analyses and materialized back to a
+        record buffer for methods that need one.
         """
         if isinstance(trace, ColumnarTrace) and not self.prefers_columnar:
             trace = trace.to_buffer()

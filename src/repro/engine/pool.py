@@ -379,7 +379,7 @@ def execute_serial(
     serialization round-trips beyond the result cache: exceptions surface
     with their original tracebacks, which keeps this the debuggable
     default. Forward analyses run on the store's columnar trace (the
-    config-specialized kernels) when the store provides one."""
+    frontier loops) when the store provides one."""
     metrics = _resolve_metrics(metrics)
     emit = progress or _null_listener
     land = on_outcome or (lambda outcome: None)

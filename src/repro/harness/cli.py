@@ -330,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="narrow the per-case plan: 'shard' runs only the "
         "exact-vs-sharded streaming invariant; 'backend' diffs the "
-        "vectorized numpy backend against the python kernels across a "
+        "vectorized numpy backend against the python frontier across a "
         "rename x window grid (default: all checks)",
     )
 

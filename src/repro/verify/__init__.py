@@ -1,11 +1,12 @@
 """Property-based differential verification of the Paragraph analyzers.
 
 Every production result in this repository hangs on one placement rule
-(see DESIGN.md section 4), and after the columnar-kernel work that rule is
-implemented four times: the legacy streaming analyzer, three
-config-specialized kernels, and the two-pass method. This package checks
-all of them against each other — and against a deliberately slow oracle
-that never runs the live-well algorithm at all — on randomized traces:
+(see DESIGN.md section 4). Production runs it in one python
+implementation, the resumable frontier loops, and one vectorized one; the
+readable reference and the two-pass method are independent checkers. This
+package checks all of them against each other — and against a
+deliberately slow oracle that never runs the live-well algorithm at all —
+on randomized traces:
 
 - :mod:`repro.verify.oracle` — recomputes every placement level by explicit
   DDG edge construction followed by a topological longest-path pass;

@@ -6,8 +6,8 @@ runs a *plan* of analyses and checks two families of properties:
 **Differential** — every implementation of the placement rule produces
 the same result on the same (trace, config):
 
-- ``legacy``  — the streaming hot loop (:mod:`repro.core.analyzer`);
-- ``columnar`` — the config-specialized kernels (:mod:`repro.core.kernels`);
+- ``forward`` — the production frontier loops (:mod:`repro.core.analyzer`
+  routing into :mod:`repro.core.stream`);
 - ``twopass`` — the reverse-annotated method (``peak_live_well`` masked);
 - ``reference`` — the readable live-well implementation;
 - ``oracle`` — explicit DDG + longest path (:mod:`repro.verify.oracle`),
@@ -62,10 +62,10 @@ from repro.verify.generate import VerifyCase, generate_case, shrink_trace
 from repro.verify.oracle import KIND_SYSCALL, build_oracle_ddg
 
 #: The implementation every other one is diffed against.
-BASELINE_METHOD = "legacy"
+BASELINE_METHOD = "forward"
 
 #: Implementations diffed against the baseline on the case config.
-DIFF_METHODS = ("columnar", "twopass", "reference")
+DIFF_METHODS = ("twopass", "reference")
 
 #: The exact-vs-sharded metamorphic pair: ``stream`` re-analyzes the case
 #: trace through chunked frontier streaming, ``sharded`` through the full
@@ -118,12 +118,12 @@ def case_plan(
     ``focus="backend"`` diffs the vectorized numpy backend
     (:mod:`repro.core.vkernels`, pinned via the ``vkernel`` method)
     against the python implementations: once against the baseline on the
-    case config, and pairwise against the ``columnar`` kernels across the
+    case config, and pairwise against the python ``forward`` frontier across the
     rename-step x window grid (the generated cases themselves vary
     syscall policy, memory disambiguation, latency tables, and lifetime
     collection, so the product grid is covered across a sweep). Where the
     backend is ineligible or NumPy is absent, ``vkernel`` falls back to
-    the python kernels and the diff degenerates to a self-check."""
+    the python frontier and the diff degenerates to a self-check."""
     plan = [(f"diff:{BASELINE_METHOD}", BASELINE_METHOD, config)]
     if focus == "shard":
         plan.extend((tag, method, config) for tag, method in SHARD_CHECKS)
@@ -135,11 +135,11 @@ def case_plan(
                 derived = config.derive(
                     rename_registers=regs, rename_stack=stack, rename_data=data
                 )
-                plan.append((f"backend:rename{step}:py", "columnar", derived))
+                plan.append((f"backend:rename{step}:py", "forward", derived))
                 plan.append((f"backend:rename{step}:np", "vkernel", derived))
             for window in WINDOW_CHAIN:
                 derived = config.derive(window_size=window)
-                plan.append((f"backend:window{window}:py", "columnar", derived))
+                plan.append((f"backend:window{window}:py", "forward", derived))
                 plan.append((f"backend:window{window}:np", "vkernel", derived))
         return plan
     if focus != "all":
@@ -285,7 +285,7 @@ def evaluate_case(
 
     for tag in sorted(results):
         # Paired grid points: backend:<axis>:np diffs against its
-        # backend:<axis>:py twin (same derived config, python kernels).
+        # backend:<axis>:py twin (same derived config, python frontier).
         if not tag.startswith("backend:") or not tag.endswith(":np"):
             continue
         py_tag = tag[:-3] + ":py"

@@ -10,14 +10,16 @@ path); worker processes would import the unmutated modules.
 
 Mutations:
 
-- ``kernel-load-skew`` — every columnar kernel places loads one level too
-  deep (the canonical off-by-one: the real kernel runs with the LOAD
+- ``kernel-load-skew`` — every python frontier loop places loads one level
+  too deep (the canonical off-by-one: the real loop runs with the LOAD
   latency raised by one, which perturbs exactly the load placement term
-  of the rule). Caught by the ``columnar`` vs ``legacy`` differential
-  whenever a load is at or feeds the critical path.
-- ``legacy-war-loss`` — the streaming analyzer forgets write-after-read
-  constraints (it analyzes as if every storage class were renamed).
-  Caught on any case with renaming off and a binding WAR hazard.
+  of the rule). Caught by the ``forward`` vs ``reference``/``twopass``/
+  ``oracle`` differential whenever a load is at or feeds the critical
+  path.
+- ``frontier-war-loss`` — the frontier's full-semantics loop forgets
+  write-after-read constraints (it analyzes as if every storage class
+  were renamed). Caught by the same differential on any case with
+  renaming off and a binding WAR hazard.
 - ``stream-splice-skew`` — the shard stitch grafts segment summaries one
   level too shallow (``offset = floor - 1`` instead of the true floor at
   the cut). Caught by the exact-vs-sharded invariant on any case whose
@@ -28,12 +30,12 @@ Mutations:
   cross-backend differential (``verify --focus backend``) on any case
   where a block-leading record's placement binds on the floor. A no-op
   when NumPy is absent — the backend falls back to the (unmutated)
-  python kernels, so no-numpy environments must skip this self-test.
+  python frontier, so no-numpy environments must skip this self-test.
 
-Both patch through module attributes that the call sites late-bind
-(``kernels._dispatch`` resolves ``_kernel_*`` as globals per call;
-:data:`repro.engine.jobs.METHODS` wrappers fetch ``analyzer.analyze`` per
-call), so no reload tricks are needed.
+Every patch goes through a module attribute that the call sites late-bind
+(:func:`repro.core.stream.advance` resolves its ``_advance_*`` loops as
+globals per call, and the stitch and batch hooks likewise), so no reload
+tricks are needed.
 """
 
 from __future__ import annotations
@@ -53,53 +55,54 @@ def _deepened_loads(config: AnalysisConfig) -> AnalysisConfig:
 
 
 @contextmanager
-def mutate_kernel_load_skew():
-    """Columnar kernels place every load one level too deep."""
-    from repro.core import kernels
+def _patch_frontier_loops(names, mutate):
+    """Patch the named ``stream._advance_*`` loops to run with one
+    frontier attribute swapped: ``mutate(frontier)`` returns the attribute
+    name and its mutant value, and the real value is restored when the
+    loop returns."""
+    from repro.core import stream
 
-    originals = {
-        name: getattr(kernels, name)
-        for name in ("_kernel_dataflow", "_kernel_windowed", "_kernel_generic")
-    }
+    originals = {name: getattr(stream, name) for name in names}
 
     def wrap(original):
-        def mutant(trace, config, *rest):
-            result = original(trace, _deepened_loads(config), *rest)
-            result.config = config  # report under the requested config
-            return result
+        def mutant(fr, trace, start, end):
+            attribute, value = mutate(fr)
+            kept = getattr(fr, attribute)
+            setattr(fr, attribute, value)
+            try:
+                original(fr, trace, start, end)
+            finally:
+                setattr(fr, attribute, kept)
 
         return mutant
 
     for name, original in originals.items():
-        setattr(kernels, name, wrap(original))
+        setattr(stream, name, wrap(original))
     try:
         yield
     finally:
         for name, original in originals.items():
-            setattr(kernels, name, original)
+            setattr(stream, name, original)
 
 
-@contextmanager
-def mutate_legacy_war_loss():
-    """The streaming analyzer drops all write-after-read constraints."""
-    from repro.core import analyzer
+def mutate_kernel_load_skew():
+    """The python frontier loops place every load one level too deep."""
+    return _patch_frontier_loops(
+        ("_advance_dataflow", "_advance_windowed", "_advance_generic"),
+        lambda fr: ("latency", _deepened_loads(fr.config).latency.as_list()),
+    )
 
-    original = analyzer.analyze
 
-    def mutant(trace, config=None, segments=None):
-        requested = config if config is not None else AnalysisConfig()
-        bare = replace(
-            requested, rename_registers=True, rename_stack=True, rename_data=True
-        )
-        result = original(trace, bare, segments)
-        result.config = requested
-        return result
-
-    analyzer.analyze = mutant
-    try:
-        yield
-    finally:
-        analyzer.analyze = original
+def mutate_frontier_war_loss():
+    """The frontier's full-semantics loop drops all write-after-read
+    constraints."""
+    return _patch_frontier_loops(
+        ("_advance_generic",),
+        lambda fr: (
+            "config",
+            replace(fr.config, rename_registers=True, rename_stack=True, rename_data=True),
+        ),
+    )
 
 
 @contextmanager
@@ -139,7 +142,7 @@ def mutate_vkernel_batch_skew():
 
 MUTATIONS = {
     "kernel-load-skew": mutate_kernel_load_skew,
-    "legacy-war-loss": mutate_legacy_war_loss,
+    "frontier-war-loss": mutate_frontier_war_loss,
     "stream-splice-skew": mutate_stream_splice_skew,
     "vkernel-batch-skew": mutate_vkernel_batch_skew,
 }

@@ -1,10 +1,10 @@
 """Reference oracle: explicit DDG edges + topological longest path.
 
-The production analyzers (streaming, columnar kernels, two-pass) all
-compute placement levels *incrementally* with a live well: each record's
-level is final the moment it is scanned, using running ``floor`` /
-``deepest`` scalars. This oracle deliberately does neither. It makes two
-passes:
+The production analyzers (the frontier loops, the vectorized backend,
+two-pass) all compute placement levels *incrementally* with a live well:
+each record's level is final the moment it is scanned, using running
+``floor`` / ``deepest`` scalars. This oracle deliberately does neither.
+It makes two passes:
 
 1. **Edge construction** — a forward scan that records, for every dynamic
    operation, the complete set of level constraints the paper defines

@@ -1,11 +1,12 @@
-"""Columnar kernels: dispatch rules and cross-validation.
+"""Frontier loops: dispatch rules and cross-validation.
 
-The columnar kernels are a third independent implementation of the
-placement semantics; every test here pins them field-for-field against the
-legacy streaming analyzer and the readable reference over the same traces
-and configurations — including the routed entry point (``analyze`` handed a
-``ColumnarTrace``), so the per-config representation choice can never
-change results.
+The :class:`~repro.core.stream.Frontier` loops are the python
+implementation of the placement semantics; every test here pins them
+field-for-field against the readable reference over the same traces and
+configurations — over columns built from a tuple buffer, over columns with
+no buffer behind them, and through the routed entry point (``analyze``
+handed the tuple buffer), so the input representation can never change
+results.
 """
 
 import pytest
@@ -17,12 +18,12 @@ from repro.core.kernels import (
     KERNEL_DATAFLOW,
     KERNEL_GENERIC,
     KERNEL_WINDOWED,
-    analyze_columnar,
     select_kernel,
 )
 from repro.core.latency import LatencyTable
 from repro.core.reference import reference_analyze
 from repro.core.resources import ResourceModel
+from repro.core.stream import advance, finalize, new_frontier
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.synthetic import TraceBuilder, random_trace
 
@@ -48,18 +49,23 @@ def assert_same_result(fast, slow):
         assert fast.lifetimes.sharing_histogram == slow.lifetimes.sharing_histogram
 
 
+def frontier_analyze(columnar, config):
+    frontier = new_frontier(config, columnar.segments)
+    return finalize(advance(frontier, columnar, 0, len(columnar)))
+
+
 def cross_validate(buffer, config):
-    """One trace, one config, four ways: legacy, columnar kernel, routed
-    columnar, readable reference — all identical."""
+    """One trace, one config, four ways: the frontier over buffer-backed
+    columns, over bufferless columns, ``analyze`` on the tuple buffer, and
+    the readable reference — all identical."""
     columnar = ColumnarTrace.from_buffer(buffer)
-    legacy = analyze(buffer, config)
-    kernel = analyze_columnar(columnar, config)
-    routed = analyze(columnar, config)
+    bufferless = ColumnarTrace(*columnar._columns(), columnar.segments)
+    frontier = frontier_analyze(columnar, config)
     reference = reference_analyze(buffer, config)
-    assert_same_result(kernel, legacy)
-    assert_same_result(routed, legacy)
-    assert_same_result(kernel, reference)
-    return kernel
+    assert_same_result(frontier, reference)
+    assert_same_result(frontier_analyze(bufferless, config), reference)
+    assert_same_result(analyze(buffer, config), reference)
+    return frontier
 
 
 class TestSelectKernel:
@@ -94,7 +100,7 @@ class TestSelectKernel:
 
 #: The deterministic config grid the issue prescribes: renaming lattice x
 #: window x syscall policy x memory disambiguation (plus lifetimes and a
-#: predictor, which exercise the generic kernel's remaining features).
+#: predictor, which exercise the generic loop's remaining features).
 CONFIG_GRID = [
     AnalysisConfig(syscall_policy=policy, window_size=window, **extra)
     for policy in ("conservative", "optimistic")
@@ -151,15 +157,17 @@ class TestKernelCrossValidation:
             collect_profile=st.booleans(),
         ),
     )
-    def test_property_columnar_matches_legacy(self, trace, config):
+    def test_property_frontier_matches_reference(self, trace, config):
         columnar = ColumnarTrace.from_buffer(trace)
-        assert_same_result(analyze_columnar(columnar, config), analyze(trace, config))
+        assert_same_result(
+            frontier_analyze(columnar, config), reference_analyze(trace, config)
+        )
 
 
 class TestWindowedMispredictionFirewall:
     """Regression: the window ring displacement and a misprediction-raised
     floor race each other — whichever constraint lands deeper must win,
-    identically in the reference, the legacy analyzer, and the kernels."""
+    identically in the reference and the frontier loops."""
 
     @staticmethod
     def crafted_trace():

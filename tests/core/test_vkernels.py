@@ -1,10 +1,10 @@
 """Vectorized placement backend: eligibility, fallback, and bit-equality.
 
-``repro.core.vkernels`` is a fourth independent implementation of the
-placement semantics (after the legacy analyzer, the columnar kernels, and
-the readable reference), evaluating the rule over level-frontier batches
-with NumPy. It is an execution strategy, never semantics: every test here
-pins it field-for-field against the python kernels over the same traces
+``repro.core.vkernels`` is the vectorized implementation of the placement
+semantics (the python one is the :class:`~repro.core.stream.Frontier`),
+evaluating the rule over level-frontier batches with NumPy. It is an
+execution strategy, never semantics: every test here pins it
+field-for-field against the python frontier over the same traces
 and configurations, including mid-stream frontier handoffs where the two
 backends alternate batches of one analysis.
 """
@@ -16,7 +16,6 @@ import pytest
 from repro.core import vkernels
 from repro.core.analyzer import analyze
 from repro.core.config import CONSERVATIVE_DISAMBIGUATION, AnalysisConfig
-from repro.core.kernels import analyze_columnar
 from repro.core.resources import ResourceModel
 from repro.core.stream import advance, finalize, new_frontier
 from repro.trace.columnar import ColumnarTrace
@@ -94,10 +93,10 @@ class TestBackendValidation:
         with pytest.raises(ValueError, match="unknown analysis backend"):
             analyze(figure1_trace, AnalysisConfig(), backend="cuda")
 
-    def test_analyze_columnar_rejects_unknown_backend(self, figure1_trace):
+    def test_analyze_rejects_unknown_backend_on_columns(self, figure1_trace):
         columnar = ColumnarTrace.from_buffer(figure1_trace)
         with pytest.raises(ValueError, match="unknown analysis backend"):
-            analyze_columnar(columnar, AnalysisConfig(), backend="cuda")
+            analyze(columnar, AnalysisConfig(), backend="cuda")
 
     def test_new_frontier_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown analysis backend"):
@@ -118,11 +117,8 @@ class TestGracefulFallback:
 
     def test_without_numpy_analyze_falls_back(self, monkeypatch):
         trace = columnar_trace(5, length=120)
-        expected = analyze_columnar(trace, AnalysisConfig())
+        expected = analyze(trace, AnalysisConfig())
         monkeypatch.setattr(vkernels, "_np", None)
-        assert_same_result(
-            analyze_columnar(trace, AnalysisConfig(), backend="numpy"), expected
-        )
         assert_same_result(
             analyze(trace, AnalysisConfig(), backend="numpy"), expected
         )
@@ -144,8 +140,8 @@ class TestGracefulFallback:
     def test_ineligible_config_falls_back(self):
         trace = columnar_trace(6, length=200, branch_fraction=0.2)
         config = AnalysisConfig(branch_predictor="bimodal")
-        expected = analyze_columnar(trace, config)
-        assert_same_result(analyze_columnar(trace, config, backend="numpy"), expected)
+        expected = analyze(trace, config)
+        assert_same_result(analyze(trace, config, backend="numpy"), expected)
 
     @requires_numpy
     def test_ineligible_config_strict_entry_raises(self):
@@ -189,7 +185,7 @@ class TestCrossBackendGrid:
             assert vkernels.eligible(config), config.describe()
             assert_same_result(
                 vkernels.analyze_vectorized(trace, config),
-                analyze_columnar(trace, config),
+                analyze(trace, config),
             )
 
     def test_profile_toggle(self):
@@ -197,7 +193,7 @@ class TestCrossBackendGrid:
         config = AnalysisConfig(collect_profile=False)
         assert_same_result(
             vkernels.analyze_vectorized(trace, config),
-            analyze_columnar(trace, config),
+            analyze(trace, config),
         )
 
     def test_wide_frontier_rounds(self):
@@ -210,7 +206,7 @@ class TestCrossBackendGrid:
         for config in (AnalysisConfig(), AnalysisConfig.no_renaming()):
             assert_same_result(
                 vkernels.analyze_vectorized(trace, config),
-                analyze_columnar(trace, config),
+                analyze(trace, config),
             )
 
 
@@ -220,7 +216,7 @@ class TestEdgeTraces:
         trace = ColumnarTrace.from_buffer(TraceBuilder().build())
         result = vkernels.analyze_vectorized(trace, AnalysisConfig())
         assert result.records_processed == 0
-        assert_same_result(result, analyze_columnar(trace, AnalysisConfig()))
+        assert_same_result(result, analyze(trace, AnalysisConfig()))
 
     def test_syscall_only_trace(self):
         builder = TraceBuilder()
@@ -234,7 +230,7 @@ class TestEdgeTraces:
         ):
             assert_same_result(
                 vkernels.analyze_vectorized(trace, config),
-                analyze_columnar(trace, config),
+                analyze(trace, config),
             )
 
     def test_syscall_with_dests(self):
@@ -250,7 +246,7 @@ class TestEdgeTraces:
             config = AnalysisConfig(syscall_policy=policy)
             assert_same_result(
                 vkernels.analyze_vectorized(trace, config),
-                analyze_columnar(trace, config),
+                analyze(trace, config),
             )
 
     def test_branchy_trace(self):
@@ -260,7 +256,7 @@ class TestEdgeTraces:
         for config in (AnalysisConfig(), AnalysisConfig(window_size=5)):
             assert_same_result(
                 vkernels.analyze_vectorized(trace, config),
-                analyze_columnar(trace, config),
+                analyze(trace, config),
             )
 
 
@@ -353,7 +349,7 @@ class TestSharedMemoryColumns:
                 ):
                     assert_same_result(
                         vkernels.analyze_vectorized(attached, config),
-                        analyze_columnar(local, config),
+                        analyze(local, config),
                     )
             finally:
                 attached.close()

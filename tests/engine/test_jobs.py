@@ -123,8 +123,6 @@ class TestMethods:
         assert set(METHODS) == {
             "forward",
             "twopass",
-            "legacy",
-            "columnar",
             "vkernel",
             "reference",
             "oracle",
@@ -137,10 +135,8 @@ class TestMethods:
         "method,columnar",
         [
             ("forward", True),
-            ("columnar", True),
             ("vkernel", True),
             ("twopass", False),
-            ("legacy", False),
             ("reference", False),
             ("oracle", False),
             ("stream", True),
@@ -153,17 +149,17 @@ class TestMethods:
 
     @pytest.mark.parametrize(
         "method",
-        ["forward", "twopass", "legacy", "columnar", "reference", "stream", "sharded"],
+        ["forward", "twopass", "vkernel", "reference", "stream", "sharded"],
     )
     def test_all_methods_agree_on_either_representation(self, method):
         """Every method accepts both trace representations via job.run and
-        lands on the forward analyzer's result (modulo documented masks)."""
-        from repro.core.analyzer import analyze
+        lands on the readable reference's result (modulo documented masks)."""
+        from repro.core.reference import reference_analyze
         from repro.trace.columnar import ColumnarTrace
         from repro.trace.synthetic import random_trace
 
         trace = random_trace(seed=3, length=400)
-        expected = analyze(trace, AnalysisConfig())
+        expected = reference_analyze(trace, AnalysisConfig())
         job = AnalysisJob("w", len(trace), method=method)
         for representation in (trace, ColumnarTrace.from_buffer(trace)):
             result = job.run(representation)
@@ -172,11 +168,11 @@ class TestMethods:
             assert result.profile.counts == expected.profile.counts
 
     def test_oracle_method_runs_via_job(self):
-        from repro.core.analyzer import analyze
+        from repro.core.reference import reference_analyze
         from repro.trace.synthetic import random_trace
 
         trace = random_trace(seed=3, length=200)
-        expected = analyze(trace, AnalysisConfig())
+        expected = reference_analyze(trace, AnalysisConfig())
         result = AnalysisJob("w", len(trace), method="oracle").run(trace)
         assert result.critical_path_length == expected.critical_path_length
         assert result.peak_live_well == -1  # oracle sentinel
@@ -216,7 +212,7 @@ class TestJobBackend:
         assert "numpy" not in AnalysisJob("cc1x", 100).describe()
 
     @pytest.mark.parametrize(
-        "method", ["forward", "columnar", "stream", "sharded", "legacy", "twopass"]
+        "method", ["forward", "stream", "sharded", "twopass"]
     )
     def test_run_identical_across_backends(self, method):
         """backend="numpy" never changes a job's result — backend-aware

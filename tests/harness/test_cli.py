@@ -105,6 +105,17 @@ class TestVerify:
         assert "caught" in out
         assert any(name.endswith(".pgt2") for name in os.listdir(str(tmp_path)))
 
+    def test_frontier_war_loss_caught(self, tmp_path, capsys):
+        code = main(
+            [
+                "verify", "--cases", "40", "--seed", "0",
+                "--mutate", "frontier-war-loss",
+                "--artifact-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0  # caught, as expected
+        assert "caught" in capsys.readouterr().out
+
     def test_unknown_mutation_rejected(self, capsys):
         code = main(["verify", "--cases", "1", "--mutate", "nope"])
         assert code == 2

@@ -74,7 +74,7 @@ class TestBackendFocusPlan:
         methods = {tag: method for tag, method, _ in plan}
         for tag in np_tags:
             assert methods[tag] == "vkernel"
-            assert methods[tag[:-3] + ":py"] == "columnar"
+            assert methods[tag[:-3] + ":py"] == "forward"
 
     def test_resource_configs_keep_only_the_case_diff(self):
         """Constrained resources are backend-ineligible, so the chains
@@ -201,7 +201,7 @@ class TestKnownRegressions:
 
 class TestMutations:
     @pytest.mark.parametrize(
-        "mutation", ["kernel-load-skew", "legacy-war-loss"]
+        "mutation", ["kernel-load-skew", "frontier-war-loss"]
     )
     def test_mutant_caught_shrunk_and_replayable(self, mutation, tmp_path):
         artifact_dir = str(tmp_path / "artifacts")
@@ -234,7 +234,7 @@ class TestMutations:
         """The cross-backend differential must catch an off-by-one in the
         vectorized backend's frontier batch seeding. Meaningless without
         NumPy — the mutated seeding never runs when the backend falls
-        back to the python kernels."""
+        back to the python frontier."""
         from repro.core import vkernels
 
         if not vkernels.available():
