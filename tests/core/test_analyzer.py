@@ -250,3 +250,34 @@ class TestBookkeeping:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             AnalysisConfig(window_size=0)
+
+
+class TestInputs:
+    """Every input representation lands on the same frontier result."""
+
+    @staticmethod
+    def stack_chain():
+        builder = TraceBuilder()
+        for _ in range(4):
+            builder.ialu(1)
+            builder.store(1, STACK)
+            builder.load(2, STACK)
+        return builder.build()
+
+    def test_plain_iterable_matches_buffer(self):
+        trace = self.stack_chain()
+        config = unit(rename_stack=False)
+        expected = analyze(trace, config)
+        for records in (trace.records, iter(trace.records)):
+            assert analyze(records, config).profile.counts == expected.profile.counts
+
+    def test_segments_override_reaches_the_frontier(self):
+        from repro.trace.segments import SegmentMap
+
+        trace = self.stack_chain()
+        config = unit(rename_stack=False)
+        # With the stack floor above the stored address the stores fall in
+        # the (renamed) data segment, so the WAR chain disappears.
+        high = SegmentMap(stack_floor=STACK + 16, stack_top=STACK + 32)
+        assert analyze(trace, config).critical_path_length > 3
+        assert analyze(trace.records, config, segments=high).critical_path_length == 3
