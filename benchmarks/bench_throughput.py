@@ -99,14 +99,6 @@ def test_columnar_decode_from_file(benchmark, store):
     assert len(trace) == 100_000
 
 
-def test_columnar_decode_mmap(benchmark, store):
-    """Zero-copy decode: read-only mmap + vectorized column gathers."""
-    path, _ = store.ensure_on_disk("espressox", 100_000)
-    trace = benchmark(ColumnarTrace.from_pgt2_mmap, path)
-    benchmark.extra_info["decode"] = "mmap"
-    assert len(trace) == 100_000
-
-
 # --- backend gate -------------------------------------------------------------
 # The same generic-kernel analysis (matrix300x@100k, registers and stack
 # renamed — a wide-frontier numeric workload) on both backends in the same

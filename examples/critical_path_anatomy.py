@@ -12,8 +12,9 @@ Run:  python examples/critical_path_anatomy.py [workload] [instructions]
 
 import sys
 
-from repro import AnalysisConfig, build_ddg
+from repro import AnalysisConfig
 from repro.core import summarize_critical_path
+from repro.verify import build_oracle_ddg
 from repro.workloads import load_workload
 
 
@@ -29,7 +30,7 @@ def main():
         ("registers renamed only", AnalysisConfig.registers_renamed()),
         ("everything renamed", AnalysisConfig()),
     ]:
-        ddg = build_ddg(trace, config)
+        ddg = build_oracle_ddg(trace, config, max_records=cap)
         summary = summarize_critical_path(ddg, trace)
         print(f"--- {label} ---")
         print(summary.render())

@@ -8,9 +8,10 @@ section 2 in a dozen lines of API.
 Run:  python examples/quickstart.py
 """
 
-from repro import AnalysisConfig, LatencyTable, analyze, build_ddg
+from repro import AnalysisConfig, LatencyTable, analyze
 from repro.asm import assemble
 from repro.cpu import run_and_trace
+from repro.verify import build_oracle_ddg
 
 SOURCE = """
 .data
@@ -65,11 +66,11 @@ def main():
           f"{[storage.profile.counts.get(i, 0) for i in range(storage.critical_path_length)]}")
 
     # The explicit DDG for inspection: nodes, edges, the critical path.
-    ddg = build_ddg(trace, AnalysisConfig(latency=unit))
+    ddg = build_oracle_ddg(trace, AnalysisConfig(latency=unit))
     print("\nexplicit DDG:")
     print(f"  nodes = {ddg.placed_operations}, "
-          f"edges = {ddg.graph.number_of_edges()}")
-    print(f"  critical path (trace indices) = {ddg.critical_path_nodes()}")
+          f"edges = {sum(1 for _ in ddg.edges())}")
+    print(f"  critical path (trace index, edge in) = {ddg.critical_path()}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from repro.core import (
     ParallelismProfile,
     ResourceModel,
     analyze,
-    build_ddg,
     measurement_error,
     reference_analyze,
     twopass_analyze,
@@ -46,7 +45,6 @@ __all__ = [
     "ParallelismProfile",
     "ResourceModel",
     "analyze",
-    "build_ddg",
     "measurement_error",
     "reference_analyze",
     "twopass_analyze",

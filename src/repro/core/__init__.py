@@ -6,7 +6,10 @@ This package is the paper's primary contribution. Entry points:
   advanced over the whole trace, or the vectorized backend.
 - :func:`twopass_analyze` — reverse-then-forward pass (method 1).
 - :func:`reference_analyze` — readable reference implementation.
-- :func:`build_ddg` — explicit networkx DDG for small traces.
+- :func:`summarize_critical_path` — what one longest chain of an explicit
+  DDG is made of (the graph itself is built by
+  :func:`repro.verify.oracle.build_oracle_ddg`, kept out of this package
+  so the analyzers never load the verification harness).
 - :class:`AnalysisConfig` — the switch set (renaming, syscalls, window...).
 """
 
@@ -21,7 +24,6 @@ from repro.core.config import (
     AnalysisConfig,
 )
 from repro.core.cpath import CriticalPathSummary, summarize_critical_path
-from repro.core.ddg import DynamicDependencyGraph, build_ddg
 from repro.core.latency import LatencyTable
 from repro.core.lifetimes import LifetimeStats
 from repro.core.machines import MACHINE_MODELS, MachineModel, machine_model
@@ -44,8 +46,6 @@ __all__ = [
     "AnalysisConfig",
     "CriticalPathSummary",
     "summarize_critical_path",
-    "DynamicDependencyGraph",
-    "build_ddg",
     "LatencyTable",
     "LifetimeStats",
     "MACHINE_MODELS",

@@ -3,17 +3,20 @@
 Beyond the critical path *length*, it is often more actionable to know what
 the critical path is *made of*: which operation classes, which dependence
 kinds, and which static instructions sit on the longest chain. This module
-summarizes one longest chain of an explicit DDG — the tool we used while
+summarizes one longest chain of an explicit DDG
+(:func:`repro.verify.oracle.build_oracle_ddg`) — the tool we used while
 tuning the workload suite, promoted to a public API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.core.ddg import DynamicDependencyGraph
 from repro.isa.opclasses import OpClass
+
+if TYPE_CHECKING:  # annotation only: core never imports the verify harness
+    from repro.verify.oracle import OracleDDG
 
 
 @dataclass
@@ -24,7 +27,7 @@ class CriticalPathSummary:
     length_levels: int
     #: operation-class name -> nodes of that class on the path
     by_class: Dict[str, int] = field(default_factory=dict)
-    #: dependence kind (raw/war/fence/firewall/source) -> edges on the path
+    #: dependence kind (raw/war/fence/firewall/mem/source) -> edges on the path
     by_edge_kind: Dict[str, int] = field(default_factory=dict)
     #: (source statement id, opclass name) -> occurrences, most frequent
     #: first (statement ids come from the MiniC compiler's .stmt markers;
@@ -49,7 +52,7 @@ class CriticalPathSummary:
 
 
 def summarize_critical_path(
-    ddg: DynamicDependencyGraph, trace, top: int = 8
+    ddg: "OracleDDG", trace, top: int = 8
 ) -> CriticalPathSummary:
     """Summarize one longest chain of ``ddg`` against its source ``trace``.
 
@@ -58,26 +61,20 @@ def summarize_critical_path(
         trace: the trace the DDG was built from (indexable by record index).
         top: how many hot static operations to report.
     """
-    path = ddg.critical_path_nodes()
+    path = ddg.critical_path()
     summary = CriticalPathSummary(
         length_nodes=len(path),
         length_levels=ddg.critical_path_length,
     )
     static_counts: Dict[Tuple[int, str], int] = {}
-    previous = None
-    for node in path:
-        record = trace[node]
+    for index, kind in path:
+        record = trace[index]
         name = OpClass(record[0]).name
         summary.by_class[name] = summary.by_class.get(name, 0) + 1
         stmt = record[4]
         key = (stmt, name)
         static_counts[key] = static_counts.get(key, 0) + 1
-        if previous is None:
-            summary.by_edge_kind["source"] = 1
-        else:
-            kind = ddg.graph.edges[previous, node]["kind"]
-            summary.by_edge_kind[kind] = summary.by_edge_kind.get(kind, 0) + 1
-        previous = node
+        summary.by_edge_kind[kind] = summary.by_edge_kind.get(kind, 0) + 1
     summary.hot_statements = [
         (stmt, name, count)
         for (stmt, name), count in sorted(

@@ -3,8 +3,8 @@
 This mirrors the paper's prose as directly as possible using the
 :class:`~repro.core.livewell.LiveWell` data structure, with no hot-loop
 tricks. Tests cross-validate the optimized streaming analyzer
-(:mod:`repro.core.analyzer`) against this on randomized traces and against
-the explicit DDG builder (:mod:`repro.core.ddg`).
+(:mod:`repro.core.analyzer`) against this on randomized traces, and this
+against the explicit DDG (:mod:`repro.verify.oracle`).
 """
 
 from __future__ import annotations

@@ -38,15 +38,7 @@ from typing import Iterator, Optional, Tuple
 
 from repro.isa.opclasses import OpClass
 from repro.trace.buffer import TraceBuffer
-from repro.trace.io import (
-    _HEADER,
-    TraceFormatError,
-    _digest_hasher,
-    digest_records,
-    read_header,
-    read_trace_payload,
-    scan_columns_fast,
-)
+from repro.trace.io import digest_records, read_trace_payload, scan_columns_fast
 from repro.trace.record import FLAG_CONDITIONAL, TraceRecord
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
@@ -183,41 +175,6 @@ class ColumnarTrace:
         tuples — verifying the header content digest."""
         segments, count, digest, payload = read_trace_payload(path)
         columns = scan_columns_fast(payload, count)
-        return cls(*columns, segments, digest=digest)
-
-    @classmethod
-    def from_pgt2_mmap(cls, path) -> "ColumnarTrace":
-        """Decode a PGT2 trace file through a read-only memory map.
-
-        The record stream is never copied into an intermediate ``bytes``
-        object: the digest check and the column extraction both run over a
-        ``memoryview`` of the mapped file (NumPy, when present, gathers the
-        columns through zero-copy ``frombuffer`` views of that mapping).
-        The content digest is verified *before* any parsing, so a stale or
-        corrupted file raises :class:`~repro.trace.io.TraceFormatError`
-        loudly rather than yielding a partial trace. The returned columns
-        are ordinary owned arrays — the mapping is released before this
-        method returns, so the trace does not pin the file.
-        """
-        import mmap
-
-        with open(path, "rb") as stream:
-            segments, count, digest = read_header(stream)
-            mapped = mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            payload = memoryview(mapped)[_HEADER.size:]
-            try:
-                hasher = _digest_hasher(segments, count)
-                hasher.update(payload)
-                if hasher.hexdigest() != digest:
-                    raise TraceFormatError(
-                        f"trace digest mismatch in {path}: file is stale or corrupted"
-                    )
-                columns = scan_columns_fast(payload, count)
-            finally:
-                payload.release()
-        finally:
-            mapped.close()
         return cls(*columns, segments, digest=digest)
 
     # -- record views ------------------------------------------------------

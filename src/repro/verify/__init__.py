@@ -9,7 +9,9 @@ deliberately slow oracle that never runs the live-well algorithm at all —
 on randomized traces:
 
 - :mod:`repro.verify.oracle` — recomputes every placement level by explicit
-  DDG edge construction followed by a topological longest-path pass;
+  DDG edge construction followed by a topological longest-path pass; it
+  is also the repository's one explicit DDG for inspection (edge kinds,
+  critical-path walk);
 - :mod:`repro.verify.generate` — deterministic seeded trace/config
   generator with greedy-deletion shrinking;
 - :mod:`repro.verify.harness` — the differential + metamorphic harness

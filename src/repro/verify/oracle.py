@@ -56,13 +56,23 @@ Unsupported: resource models (greedy first-fit slot allocation is a
 machine throttle, not a dependence — it has no longest-path form). The
 harness skips the oracle for resource-constrained configurations and
 cross-checks the implementations against each other instead.
+
+Inspection: this is the repository's one explicit DDG, so it also serves
+the paper's worked figures, the examples and
+:func:`repro.core.cpath.summarize_critical_path`. Every edge carries its
+kind; :meth:`OracleDDG.edges` yields ``(u_record, v_record, kind)`` in
+trace order (pre-exist pseudo nodes never appear; a mispredicted branch
+appears at its own record index), and :meth:`OracleDDG.critical_path`
+walks one longest chain back from the deepest placed operation as
+``(record_index, kind_of_edge_into_it)`` steps. ``max_records`` is the
+only size guard: raise it to inspect longer traces.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.branch import make_predictor
 from repro.core.config import (
@@ -88,6 +98,13 @@ KIND_BRANCH = "branch"
 
 _PLACED_KINDS = (KIND_OP, KIND_SYSCALL)
 
+#: Edge kinds (see the module docstring's table).
+EDGE_RAW = "raw"
+EDGE_WAR = "war"
+EDGE_FENCE = "fence"
+EDGE_FIREWALL = "firewall"
+EDGE_MEM = "mem"
+
 
 @dataclass
 class _Node:
@@ -96,7 +113,8 @@ class _Node:
     kind: str
     base: int
     record_index: int
-    edges: List[Tuple[int, int]] = field(default_factory=list)  # (source, weight)
+    #: (source, weight, edge kind), in emission order
+    edges: List[Tuple[int, int, str]] = field(default_factory=list)
 
 
 class OracleDDG:
@@ -118,7 +136,7 @@ class OracleDDG:
         levels: List[int] = []
         for node in self.nodes:
             level = node.base
-            for source, weight in node.edges:
+            for source, weight, _ in node.edges:
                 candidate = levels[source] + weight
                 if candidate > level:
                     level = candidate
@@ -155,6 +173,60 @@ class OracleDDG:
 
     def profile(self) -> ParallelismProfile:
         return ParallelismProfile(dict(Counter(self.placed_levels())))
+
+    # -- inspection --------------------------------------------------------
+
+    def edges(self) -> Iterator[Tuple[int, int, str]]:
+        """Every constraint edge as ``(u_record, v_record, kind)``, in
+        trace order of ``v``. Pre-exist pseudo nodes are never exposed. A
+        pair of records can carry more than one kind (e.g. ``raw`` and
+        ``firewall`` from a syscall that produced the value read)."""
+        nodes = self.nodes
+        for node in nodes:
+            if node.kind == KIND_PREEXIST:
+                continue
+            for source, _, kind in node.edges:
+                origin = nodes[source]
+                if origin.kind != KIND_PREEXIST:
+                    yield origin.record_index, node.record_index, kind
+
+    def critical_path(self) -> List[Tuple[int, str]]:
+        """One longest dependence chain as ``(record_index, kind)`` steps,
+        ``kind`` naming the edge into that record: ``"source"`` first,
+        the deepest placed operation last.
+
+        The walk starts at the earliest placed node on the deepest level
+        and follows, at each node, the first in-edge (in emission order)
+        whose constraint is binding. A binding edge out of a pre-exist
+        pseudo node always has a binding twin from a real node (the
+        firewall sources that froze the pseudo node's level, or none when
+        the node sits at its base level), so the walk never needs one.
+        """
+        nodes = self.nodes
+        levels = self.levels
+        placed = [
+            index for index, node in enumerate(nodes) if node.kind in _PLACED_KINDS
+        ]
+        if not placed:
+            return []
+        current = max(placed, key=lambda index: (levels[index], -index))
+        steps: List[Tuple[int, str]] = []
+        while True:
+            node = nodes[current]
+            level = levels[current]
+            for source, weight, kind in node.edges:
+                if (
+                    levels[source] + weight == level
+                    and nodes[source].kind != KIND_PREEXIST
+                ):
+                    steps.append((node.record_index, kind))
+                    current = source
+                    break
+            else:
+                steps.append((node.record_index, "source"))
+                break
+        steps.reverse()
+        return steps
 
     def to_result(self) -> AnalysisResult:
         """Summarize as an :class:`AnalysisResult`. Fields the oracle does
@@ -251,7 +323,9 @@ def build_oracle_ddg(
             pseudo = add_node(KIND_PREEXIST, -1, -1)
             # level(pseudo) = floor - 1 at touch time: weight-0 edges from
             # every firewall source active right now.
-            nodes[pseudo].edges.extend((source, 0) for source in floor_sources)
+            nodes[pseudo].edges.extend(
+                (source, 0, EDGE_FIREWALL) for source in floor_sources
+            )
             value = _Value(pseudo)
             values[location] = value
         return value
@@ -283,13 +357,14 @@ def build_oracle_ddg(
                         # floor = resolve for nodes placed after it.
                         pseudo = add_node(KIND_BRANCH, branch_top - 2, index)
                         edges = nodes[pseudo].edges
-                        edges.extend(
-                            (source, branch_top - 1) for source in floor_sources
-                        )
                         for src in record[1]:
                             value = values.get(src)  # peek: no materialization
                             if value is not None:
-                                edges.append((value.producer, branch_top - 1))
+                                edges.append((value.producer, branch_top - 1, EDGE_RAW))
+                        edges.extend(
+                            (source, branch_top - 1, EDGE_FIREWALL)
+                            for source in floor_sources
+                        )
                         floor_sources.append(pseudo)
             if ring:
                 ring[ring_pos] = None
@@ -306,8 +381,9 @@ def build_oracle_ddg(
             top = latency[OpClass.SYSCALL]
             node = add_node(KIND_SYSCALL, max(0, top - 1), index)
             edges = nodes[node].edges
-            edges.extend((prior, 1) for prior in placed_so_far)  # deepest + 1
-            edges.extend((source, top) for source in floor_sources)
+            # deepest + 1
+            edges.extend((prior, 1, EDGE_FENCE) for prior in placed_so_far)
+            edges.extend((source, top, EDGE_FIREWALL) for source in floor_sources)
             placed_so_far.append(node)
             floor_sources.append(node)
             for dest in record[2]:
@@ -325,19 +401,19 @@ def build_oracle_ddg(
         node = add_node(KIND_OP, top - 1, index)
         edges = nodes[node].edges
         for producer in producers:
-            edges.append((producer, top))
+            edges.append((producer, top, EDGE_RAW))
         for dest in dests:
             if renamed(dest):
                 continue
             old = values.get(dest)
             if old is not None:
-                edges.extend((consumer, 1) for consumer in old.consumers)
+                edges.extend((consumer, 1, EDGE_WAR) for consumer in old.consumers)
         if conservative_mem:
             if opclass is OpClass.LOAD:
-                edges.extend((store, top) for store in prior_stores)
+                edges.extend((store, top, EDGE_MEM) for store in prior_stores)
             elif opclass is OpClass.STORE:
-                edges.extend((access, 1) for access in prior_mem_accesses)
-        edges.extend((source, top) for source in floor_sources)
+                edges.extend((access, 1, EDGE_MEM) for access in prior_mem_accesses)
+        edges.extend((source, top, EDGE_FIREWALL) for source in floor_sources)
 
         placed_so_far.append(node)
         if conservative_mem and opclass in (OpClass.LOAD, OpClass.STORE):

@@ -2,10 +2,10 @@
 
 from repro.core.config import AnalysisConfig
 from repro.core.cpath import summarize_critical_path
-from repro.core.ddg import build_ddg
 from repro.core.latency import LatencyTable
 from repro.isa.opclasses import OpClass
 from repro.trace.synthetic import TraceBuilder, serial_chain
+from repro.verify.oracle import build_oracle_ddg
 
 
 def unit(**kwargs):
@@ -15,7 +15,7 @@ def unit(**kwargs):
 class TestSummary:
     def test_serial_chain_fully_on_path(self):
         trace = serial_chain(12)
-        ddg = build_ddg(trace, unit())
+        ddg = build_oracle_ddg(trace, unit())
         summary = summarize_critical_path(ddg, trace)
         assert summary.length_nodes == 12
         assert summary.length_levels == 12
@@ -29,7 +29,7 @@ class TestSummary:
         builder.ialu(1)
         builder.ialu(3, 1)
         trace = builder.build()
-        ddg = build_ddg(trace, unit(rename_registers=False))
+        ddg = build_oracle_ddg(trace, unit(rename_registers=False))
         summary = summarize_critical_path(ddg, trace)
         assert summary.by_edge_kind.get("war", 0) >= 1
 
@@ -39,7 +39,7 @@ class TestSummary:
         builder.op(OpClass.FADD, (33,), ())
         builder.op(OpClass.IDIV, (2,), (1,))
         trace = builder.build()
-        ddg = build_ddg(trace, AnalysisConfig())
+        ddg = build_oracle_ddg(trace, AnalysisConfig())
         summary = summarize_critical_path(ddg, trace)
         # longest chain: imul(6) -> idiv(12) = 18 levels
         assert summary.length_levels == 18
@@ -51,14 +51,14 @@ class TestSummary:
             builder.op(OpClass.IALU, (1,), (1,), aux=7)
         builder.op(OpClass.IALU, (2,), (1,), aux=9)
         trace = builder.build()
-        ddg = build_ddg(trace, unit())
+        ddg = build_oracle_ddg(trace, unit())
         summary = summarize_critical_path(ddg, trace, top=2)
         assert summary.hot_statements[0] == (7, "IALU", 5)
         assert summary.hot_statements[1] == (9, "IALU", 1)
 
     def test_render_mentions_everything(self):
         trace = serial_chain(4)
-        summary = summarize_critical_path(build_ddg(trace, unit()), trace)
+        summary = summarize_critical_path(build_oracle_ddg(trace, unit()), trace)
         text = summary.render()
         assert "critical path: 4 operations" in text
         assert "IALU=4" in text
@@ -66,6 +66,6 @@ class TestSummary:
 
     def test_empty_trace(self):
         trace = TraceBuilder().build()
-        summary = summarize_critical_path(build_ddg(trace, unit()), trace)
+        summary = summarize_critical_path(build_oracle_ddg(trace, unit()), trace)
         assert summary.length_nodes == 0
         assert summary.by_class == {}

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
-from repro.core.ddg import build_ddg
 from repro.core.latency import LatencyTable
 from repro.core.reference import reference_analyze
 from repro.core.twopass import twopass_analyze
 from repro.trace.synthetic import TraceBuilder, random_trace
+from repro.verify.oracle import build_oracle_ddg
 
 DATA = 0x1000
 
@@ -106,6 +106,11 @@ class TestCrossValidation:
             == twopass_analyze(trace, config).critical_path_length
         )
 
-    def test_explicit_ddg_rejects(self):
-        with pytest.raises(ValueError, match="perfect disambiguation"):
-            build_ddg(random_trace(1, 10), conservative())
+    def test_explicit_ddg_agrees(self):
+        trace = random_trace(1, 400)
+        for config in (conservative(), AnalysisConfig(memory_disambiguation="conservative")):
+            ddg = build_oracle_ddg(trace, config)
+            result = analyze(trace, config)
+            assert ddg.critical_path_length == result.critical_path_length
+            assert ddg.profile().counts == result.profile.counts
+            assert "mem" in {kind for _, _, kind in ddg.edges()}

@@ -1,21 +1,21 @@
 """Hypothesis property tests: cross-validation and invariants.
 
 The strongest correctness argument in this reproduction: four independent
-implementations of the placement semantics (the optimized streaming
-analyzer, the readable reference, the two-pass variant, and the explicit
-networkx DDG) must agree record-for-record on arbitrary traces under
-arbitrary configurations.
+implementations of the placement semantics (the forward pass, the readable
+reference, the two-pass variant, and the explicit DDG with its
+longest-path levels, :mod:`repro.verify.oracle`) must agree on arbitrary
+traces under arbitrary configurations.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
-from repro.core.ddg import build_ddg
 from repro.core.latency import LatencyTable
 from repro.core.reference import reference_analyze
 from repro.core.twopass import twopass_analyze
 from repro.trace.synthetic import random_trace
+from repro.verify.oracle import build_oracle_ddg
 
 configs = st.builds(
     AnalysisConfig,
@@ -66,8 +66,7 @@ def test_analyzer_matches_twopass(trace, config):
 @given(trace=traces, config=configs)
 def test_analyzer_matches_explicit_ddg(trace, config):
     result = analyze(trace, config)
-    ddg = build_ddg(trace, config)
-    ddg.verify_levels()
+    ddg = build_oracle_ddg(trace, config)
     assert ddg.critical_path_length == result.critical_path_length
     assert ddg.placed_operations == result.placed_operations
     assert ddg.profile().counts == result.profile.counts

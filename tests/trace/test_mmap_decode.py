@@ -1,91 +1,24 @@
-"""Zero-copy PGT2 decode: mmap == buffered, byte for byte, or a loud error.
+"""Columnar PGT2 decode: a bad file is a loud error, never a partial trace.
 
-``ColumnarTrace.from_pgt2_mmap`` decodes through a read-only memory map
-and (when NumPy is present) vectorized u32 column gathers instead of the
-per-record python scan. The decode path is not allowed to be a semantics
-knob any more than the analysis backend is: every column must come out
-identical to the buffered reference decode on every workload, and a
-truncated or corrupted file must raise :class:`TraceFormatError` before
-any partial trace escapes.
+``ColumnarTrace.from_file`` decodes through :func:`scan_columns_fast`
+(vectorized u32 column gathers over the payload when NumPy is present,
+the per-record python scan otherwise). A truncated or corrupted file
+must raise :class:`TraceFormatError` before any partial trace escapes, on
+either path.
 """
 
 import pytest
 
-from repro.core.analyzer import analyze
-from repro.core.config import AnalysisConfig
 from repro.trace import io as trace_io
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import TraceFormatError, write_trace_file
-from repro.trace.synthetic import TraceBuilder, random_trace
-from repro.workloads.suite import all_workloads
-
-COLUMNS = (
-    "opclass",
-    "flags",
-    "aux",
-    "src_offsets",
-    "src_values",
-    "dest_offsets",
-    "dest_values",
-)
-
-
-def assert_same_columns(left: ColumnarTrace, right: ColumnarTrace):
-    for name in COLUMNS:
-        assert bytes(memoryview(getattr(left, name))) == bytes(
-            memoryview(getattr(right, name))
-        ), name
-    assert left.segments == right.segments
-    assert left.digest() == right.digest()
+from repro.trace.synthetic import random_trace
 
 
 def write_tmp(tmp_path, trace, name="t.pgt"):
     path = tmp_path / name
     write_trace_file(path, trace)
     return path
-
-
-class TestMmapMatchesBuffered:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_random_traces(self, tmp_path, seed):
-        trace = random_trace(seed=seed, length=500, syscall_fraction=0.05)
-        path = write_tmp(tmp_path, trace, f"r{seed}.pgt")
-        assert_same_columns(
-            ColumnarTrace.from_pgt2_mmap(path), ColumnarTrace.from_file(path)
-        )
-
-    def test_every_suite_workload(self, tmp_path, workload_traces):
-        """The acceptance property: mmap decode equals buffered decode
-        byte-for-byte on every suite workload."""
-        for name, trace in workload_traces.items():
-            path = write_tmp(tmp_path, trace, f"{name}.pgt")
-            assert_same_columns(
-                ColumnarTrace.from_pgt2_mmap(path), ColumnarTrace.from_file(path)
-            )
-
-    def test_empty_trace(self, tmp_path):
-        path = write_tmp(tmp_path, TraceBuilder().build())
-        trace = ColumnarTrace.from_pgt2_mmap(path)
-        assert len(trace) == 0
-        assert_same_columns(trace, ColumnarTrace.from_file(path))
-
-    def test_decoded_trace_analyzes_identically(self, tmp_path):
-        buffer = random_trace(seed=9, length=400, syscall_fraction=0.03)
-        path = write_tmp(tmp_path, buffer)
-        via_mmap = analyze(ColumnarTrace.from_pgt2_mmap(path), AnalysisConfig())
-        via_file = analyze(ColumnarTrace.from_file(path), AnalysisConfig())
-        assert via_mmap.critical_path_length == via_file.critical_path_length
-        assert via_mmap.placed_operations == via_file.placed_operations
-
-    def test_python_fallback_decode_identical(self, tmp_path, monkeypatch):
-        """With NumPy masked out, scan_columns_fast degrades to the pure
-        python reference scan — same columns, same digest check."""
-        trace = random_trace(seed=4, length=300, syscall_fraction=0.05)
-        path = write_tmp(tmp_path, trace)
-        with_numpy = ColumnarTrace.from_pgt2_mmap(path)
-        monkeypatch.setattr(trace_io, "_np", None)
-        assert_same_columns(ColumnarTrace.from_pgt2_mmap(path), with_numpy)
-        assert_same_columns(ColumnarTrace.from_file(path), with_numpy)
 
 
 class TestLoudErrors:
@@ -100,26 +33,26 @@ class TestLoudErrors:
         data = good_file.read_bytes()
         good_file.write_bytes(data[: len(data) // 2])
         with pytest.raises(TraceFormatError):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
     def test_corrupt_payload_fails_digest(self, good_file):
         data = bytearray(good_file.read_bytes())
         data[len(data) // 2] ^= 0xFF
         good_file.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError, match="stale or corrupted"):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
     def test_trailing_garbage_fails_digest(self, good_file):
         good_file.write_bytes(good_file.read_bytes() + b"\x00" * 16)
         with pytest.raises(TraceFormatError):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
     def test_bad_magic(self, good_file):
         data = bytearray(good_file.read_bytes())
         data[:4] = b"NOPE"
         good_file.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError, match="bad magic"):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
     def test_corrupt_python_fallback_also_loud(self, good_file, monkeypatch):
         data = bytearray(good_file.read_bytes())
@@ -127,7 +60,7 @@ class TestLoudErrors:
         good_file.write_bytes(bytes(data))
         monkeypatch.setattr(trace_io, "_np", None)
         with pytest.raises(TraceFormatError):
-            ColumnarTrace.from_pgt2_mmap(good_file)
+            ColumnarTrace.from_file(good_file)
 
 
 class TestScanColumnsFast:

@@ -4,8 +4,8 @@ The oracle is the slow, obviously-correct end of the differential chain:
 it builds the dependency graph explicitly and takes a longest path, with
 no live well, no streaming state, and no shared code with the production
 analyzers. These tests pin it against the reference implementation on
-hand-built paper traces and on generated adversarial traces across a
-config grid.
+a hand-built mixed trace, on synthetic random traces and on generated
+adversarial traces across a config grid.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.core.config import (
 from repro.core.latency import LatencyTable
 from repro.core.reference import reference_analyze
 from repro.core.resources import ResourceModel
-from repro.trace.synthetic import TraceBuilder
+from repro.trace.synthetic import TraceBuilder, random_trace
 from repro.verify.compare import ORACLE_FIELDS, diff_results
 from repro.verify.generate import generate_trace
 from repro.verify.oracle import build_oracle_ddg, oracle_analyze
@@ -84,6 +84,13 @@ class TestAgainstReference:
     def test_generated_traces(self, seed, config):
         trace = generate_trace(random.Random(seed))
         assert_matches_reference(trace, config)
+
+    @pytest.mark.parametrize("config", CONFIG_GRID)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_traces(self, seed, config):
+        """The synthetic traces the inspection tests (tests/core/test_ddg.py)
+        walk, as extra inputs."""
+        assert_matches_reference(random_trace(seed, 500), config)
 
     def test_empty_trace(self):
         builder = TraceBuilder()
