@@ -11,8 +11,6 @@ To refresh it after kernel work::
         --benchmark-json=benchmarks/BENCH_throughput.json -q
 """
 
-import resource
-
 import pytest
 
 from repro.core import vkernels
@@ -40,7 +38,7 @@ def _tag_backend(benchmark, backend, kernel, gate=None):
 
 @pytest.fixture(scope="module")
 def bench_columnar(store):
-    trace = store.columnar("espressox", 100_000)
+    trace = store.trace("espressox", 100_000)
     # Trace statistics and the operand-tuple view are cached per trace,
     # not part of a kernel run.
     trace.census()
@@ -109,7 +107,7 @@ def test_columnar_decode_from_file(benchmark, store):
 
 @pytest.fixture(scope="module")
 def gate_columnar(store):
-    trace = store.columnar("matrix300x", 100_000)
+    trace = store.trace("matrix300x", 100_000)
     trace.census()
     trace.operand_counts()
     trace.operand_tuples()
@@ -143,6 +141,9 @@ def test_backend_gate_numpy(benchmark, gate_columnar):
 # whole-file decode + kernel, chunked frontier streaming, and pool-sharded
 # stitch. check_regression.py --stream-gate turns the same-run ratios into a
 # gating bound on streaming/sharding overhead (machine speed cancels out).
+# No peak RSS is recorded here: every row runs in one process, so
+# ru_maxrss cannot tell the pipelines apart. The e2e benchmark's
+# stream-large workload measures it in a fresh process.
 
 
 @pytest.fixture(scope="module")
@@ -158,18 +159,11 @@ def shard_engine():
     engine.close()
 
 
-def _record_peak_rss(benchmark):
-    benchmark.extra_info["peak_rss_kb"] = resource.getrusage(
-        resource.RUSAGE_SELF
-    ).ru_maxrss
-
-
 def test_inmemory_throughput_from_file(benchmark, stream_file):
     def run():
         return analyze(ColumnarTrace.from_file(stream_file), AnalysisConfig())
 
     result = benchmark(run)
-    _record_peak_rss(benchmark)
     assert result.records_processed == 100_000
 
 
@@ -177,7 +171,6 @@ def test_stream_throughput_from_file(benchmark, stream_file):
     result = benchmark(
         stream_analyze_file, stream_file, AnalysisConfig(), chunk_records=16_384
     )
-    _record_peak_rss(benchmark)
     assert result.records_processed == 100_000
 
 
@@ -189,7 +182,6 @@ def test_sharded_throughput_pool(benchmark, stream_file, shard_engine):
         shard_size=16_384,
         engine=shard_engine,
     )
-    _record_peak_rss(benchmark)
     assert result.records_processed == 100_000
 
 

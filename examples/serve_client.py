@@ -21,7 +21,7 @@ CAP = 5_000
 
 def trace_bytes(trace):
     stream = io.BytesIO()
-    write_trace(stream, trace.records, trace.segments, len(trace))
+    write_trace(stream, list(trace), trace.segments, len(trace))
     return stream.getvalue()
 
 

@@ -38,7 +38,6 @@ from repro.core.results import AnalysisResult
 from repro.core.stream import advance, finalize, new_frontier
 from repro.obs import metrics as _obs
 from repro.obs.spans import span as _span
-from repro.trace.buffer import TraceBuffer
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
@@ -52,9 +51,8 @@ def analyze(
     """Run one Paragraph analysis over ``trace``.
 
     Args:
-        trace: a :class:`~repro.trace.columnar.ColumnarTrace`, a
-            :class:`~repro.trace.buffer.TraceBuffer`, or any iterable of
-            trace records; anything but columns is converted once.
+        trace: a :class:`~repro.trace.columnar.ColumnarTrace`, or any
+            iterable of trace records (flattened into columns once).
         config: the analysis configuration (defaults to the dataflow limit:
             conservative syscalls, full renaming, unlimited window).
         segments: segment map override (defaults to the trace's own).
@@ -73,10 +71,7 @@ def analyze(
         config = AnalysisConfig()
     if segments is None:
         segments = getattr(trace, "segments", DEFAULT_SEGMENTS)
-    if not isinstance(trace, ColumnarTrace):
-        if not isinstance(trace, TraceBuffer):
-            trace = TraceBuffer(trace, segments)
-        trace = ColumnarTrace.from_buffer(trace)
+    trace = ColumnarTrace.from_buffer(trace, segments)
     if backend != "python":
         from repro.core import vkernels
 

@@ -78,6 +78,7 @@ from repro.core.resources import ResourceState
 from repro.core.results import AnalysisResult
 from repro.isa.locations import MEM_BASE
 from repro.isa.opclasses import OpClass
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
@@ -910,14 +911,6 @@ def splice(fr: Frontier, summary: SegmentSummary) -> Frontier:
 # -- whole-trace entry points -------------------------------------------------
 
 
-def _as_columnar(trace):
-    from repro.trace.columnar import ColumnarTrace
-
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    return ColumnarTrace.from_buffer(trace)
-
-
 def stream_analyze_trace(
     trace,
     config: Optional[AnalysisConfig] = None,
@@ -930,7 +923,7 @@ def stream_analyze_trace(
     machinery is exercisable (and verifiable) without a file."""
     if chunk_records < 1:
         raise ValueError(f"chunk_records must be >= 1, got {chunk_records}")
-    columnar = _as_columnar(trace)
+    columnar = ColumnarTrace.from_buffer(trace)
     if config is None:
         config = AnalysisConfig()
     if segments is None:
@@ -956,7 +949,7 @@ def shard_analyze_trace(
     ineligible configuration) advance the frontier directly, so the
     result is identical to whole-trace analysis for *every*
     configuration."""
-    columnar = _as_columnar(trace)
+    columnar = ColumnarTrace.from_buffer(trace)
     if config is None:
         config = AnalysisConfig()
     if segments is None:

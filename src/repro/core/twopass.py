@@ -85,7 +85,7 @@ def twopass_analyze(
         config = AnalysisConfig()
     if segments is None:
         segments = getattr(trace, "segments", DEFAULT_SEGMENTS)
-    records = trace.records if hasattr(trace, "records") else list(trace)
+    records = list(trace)
     kills = compute_kill_lists(
         records,
         branch_reads=config.branch_predictor is not None,

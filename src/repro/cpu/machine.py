@@ -3,8 +3,9 @@
 The machine *compiles* each static instruction into a Python closure at load
 time; executing one dynamic instruction is one closure call returning the
 next pc. Trace records for register-register operations are built once at
-compile time (they are fully static) and appended by reference, which keeps
-tracing overhead low on hot loops.
+compile time (they are fully static) and appended by reference to a plain
+list, which keeps tracing overhead low on hot loops; :attr:`Machine.trace`
+flattens that list into a :class:`~repro.trace.columnar.ColumnarTrace`.
 
 The simulator plays the role of the paper's DECstation + Pixie combination:
 it runs the program and emits the serial trace that Paragraph analyzes.
@@ -29,8 +30,8 @@ from repro.isa.layout import STACK_TOP_WORDS
 from repro.isa.locations import MEM_BASE
 from repro.isa.opclasses import OpClass
 from repro.isa.registers import FP_REG_BASE, REG_SP, REG_V0, fp_reg
-from repro.trace.buffer import TraceBuffer
-from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN, TraceRecord
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
 _IALU = int(OpClass.IALU)
@@ -172,10 +173,18 @@ class Machine:
         self.regs[REG_SP] = STACK_TOP_WORDS
         self.memory = Memory(program.data, program.data_end, segments)
         self.syscalls = SyscallHandler(int_inputs, float_inputs)
-        self.trace = TraceBuffer(segments=segments) if trace else None
+        #: The emitted records, in order (``None`` when not tracing).
+        self.records: Optional[List[TraceRecord]] = [] if trace else None
         self._tracing = trace
-        self._records = self.trace.records if trace else None
         self._code = [self._compile(i, instr) for i, instr in enumerate(program.instructions)]
+
+    @property
+    def trace(self) -> Optional[ColumnarTrace]:
+        """The records emitted so far as a trace (flattened on every
+        access; ``None`` when not tracing)."""
+        if self.records is None:
+            return None
+        return ColumnarTrace.from_buffer(self.records, self.segments)
 
     # -- execution ------------------------------------------------------
 
@@ -204,7 +213,7 @@ class Machine:
         """Build the closure implementing instruction ``index``."""
         regs = self.regs
         mem = self.memory.words
-        records = self._records
+        records = self.records
         append = records.append if records is not None else None
         tracing = self._tracing
         op = instr.op

@@ -11,6 +11,11 @@ Identity is content-based: a job digest covers the workload name, cap,
 optimization flag, analysis method, and the full canonical configuration;
 combined with the trace content digest it keys the on-disk result cache,
 so identical work is never recomputed — across processes or across runs.
+
+Every method takes the same input, a
+:class:`~repro.trace.columnar.ColumnarTrace`: the frontier methods advance
+over its columns, and the checkers (``twopass``, ``reference``,
+``oracle``) iterate its records.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from typing import Callable, Dict
 
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
+from repro.core.reference import reference_analyze
 from repro.core.results import AnalysisResult
 from repro.core.twopass import twopass_analyze
-from repro.trace.buffer import TraceBuffer
 from repro.trace.columnar import ColumnarTrace
 
 
@@ -36,20 +41,10 @@ def _analyze_vkernel(trace, config: AnalysisConfig) -> AnalysisResult:
     return analyze(trace, config, backend="numpy")
 
 
-def _analyze_reference(trace, config: AnalysisConfig) -> AnalysisResult:
-    from repro.core.reference import reference_analyze
-
-    if isinstance(trace, ColumnarTrace):
-        trace = trace.to_buffer()
-    return reference_analyze(trace, config)
-
-
 def _analyze_oracle(trace, config: AnalysisConfig) -> AnalysisResult:
     # Imported lazily: repro.verify imports this module for METHODS.
     from repro.verify.oracle import oracle_analyze
 
-    if isinstance(trace, ColumnarTrace):
-        trace = trace.to_buffer()
     return oracle_analyze(trace, config)
 
 
@@ -59,8 +54,6 @@ def _analyze_stream(trace, config: AnalysisConfig, backend: str = "python") -> A
     through the module attribute so the harness can mutate it."""
     from repro.core import stream
 
-    if not isinstance(trace, ColumnarTrace):
-        trace = ColumnarTrace.from_buffer(trace)
     chunk = max(1, (len(trace) + 2) // 3)
     return stream.stream_analyze_trace(trace, config, chunk_records=chunk, backend=backend)
 
@@ -71,8 +64,6 @@ def _analyze_sharded(trace, config: AnalysisConfig, backend: str = "python") -> 
     replay + stitch otherwise (see :mod:`repro.core.stream`)."""
     from repro.core import stream
 
-    if not isinstance(trace, ColumnarTrace):
-        trace = ColumnarTrace.from_buffer(trace)
     shard = max(1, (len(trace) + 3) // 4)
     return stream.shard_analyze_trace(trace, config, shard_size=shard, backend=backend)
 
@@ -84,8 +75,6 @@ def _analyze_segment(trace, config: AnalysisConfig, backend: str = "python"):
     :class:`AnalysisResult` — the stitch pass splices it."""
     from repro.core import stream
 
-    if not isinstance(trace, ColumnarTrace):
-        trace = ColumnarTrace.from_buffer(trace)
     return stream.summarize_segment(trace, config, backend=backend)
 
 
@@ -101,19 +90,16 @@ def _analyze_segment(trace, config: AnalysisConfig, backend: str = "python"):
 #: is the shard pass-1 worker method and returns a
 #: :class:`~repro.core.stream.SegmentSummary` instead of a result;
 #: ``vkernel`` pins the vectorized NumPy backend for the same harness.
-METHODS: Dict[str, Callable[[TraceBuffer, AnalysisConfig], AnalysisResult]] = {
+METHODS: Dict[str, Callable[[ColumnarTrace, AnalysisConfig], AnalysisResult]] = {
     "forward": analyze,
     "twopass": twopass_analyze,
     "vkernel": _analyze_vkernel,
-    "reference": _analyze_reference,
+    "reference": reference_analyze,
     "oracle": _analyze_oracle,
     "stream": _analyze_stream,
     "sharded": _analyze_sharded,
     "segment": _analyze_segment,
 }
-
-#: Methods whose fastest input is a :class:`ColumnarTrace`.
-_COLUMNAR_METHODS = frozenset({"forward", "vkernel", "stream", "sharded", "segment"})
 
 #: Methods whose callable accepts a ``backend=`` keyword (the rest are
 #: implementation-pinned and ignore the job's backend preference).
@@ -231,23 +217,8 @@ class AnalysisJob:
         jobs sharing a trace key share one cached trace load per worker."""
         return (self.workload, self.cap, self.optimize)
 
-    @property
-    def prefers_columnar(self) -> bool:
-        """True when the job's method runs fastest on a
-        :class:`~repro.trace.columnar.ColumnarTrace` (the forward analyzer
-        and the streaming methods advance a frontier over columns);
-        tuple-scanning methods need the materialized record list."""
-        return self.method in _COLUMNAR_METHODS
-
-    def run(self, trace) -> AnalysisResult:
-        """Execute this job against an already-loaded trace.
-
-        Accepts either representation: a columnar trace is handed straight
-        to the frontier for forward analyses and materialized back to a
-        record buffer for methods that need one.
-        """
-        if isinstance(trace, ColumnarTrace) and not self.prefers_columnar:
-            trace = trace.to_buffer()
+    def run(self, trace: ColumnarTrace) -> AnalysisResult:
+        """Execute this job against an already-loaded trace."""
         if self.backend != "python" and self.method in _BACKEND_METHODS:
             return METHODS[self.method](trace, self.config, backend=self.backend)
         return METHODS[self.method](trace, self.config)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import os
 import queue as queue_module
 import signal
 import time
@@ -253,8 +254,9 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
     forwarded to the process group, or the parent's SIGTERM, shared-memory
     attachments are closed before interpreter teardown (a ``SharedMemory``
     finalized while column views are still exported raises noisy
-    ``BufferError``/resource-tracker warnings at exit) and the queues are
-    released without blocking on unflushed buffers.
+    ``BufferError``/resource-tracker warnings at exit). An interrupted
+    worker then leaves through ``os._exit``: the interrupt may have left a
+    queue's internal lock held, which its close finalizer would deadlock on.
     """
     # A forked worker inherits the parent's signal wakeup fd. If the parent
     # runs an asyncio loop (repro.serve), that fd is the loop's self-pipe:
@@ -269,8 +271,8 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
     signal.signal(signal.SIGTERM, _sigterm_to_exit)
     if metrics:
         obs.enable()
-    traces: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
-    interrupted = False
+    traces: "OrderedDict[Tuple[str, str], ColumnarTrace]" = OrderedDict()
+    exit_code: Optional[int] = None
     try:
         while True:
             task = task_queue.get()
@@ -302,8 +304,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
                     traces[trace_ref] = trace
                     while len(traces) > _WORKER_TRACE_LRU:
                         _, evicted = traces.popitem(last=False)
-                        if isinstance(evicted, ColumnarTrace):
-                            evicted.close()
+                        evicted.close()
                 else:
                     traces.move_to_end(trace_ref)
                 with span("kernel", phases=phases):
@@ -338,21 +339,19 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
                     _job_telemetry(metrics, phases, queue_wait),
                 )
                 result_queue.put((JOB_FAILED, worker_id, index, payload))
-    except (KeyboardInterrupt, SystemExit):
-        interrupted = True
+    except SystemExit as error:
+        exit_code = error.code if isinstance(error.code, int) else 1
+    except KeyboardInterrupt:
+        exit_code = 128 + signal.SIGINT
     finally:
         for trace in traces.values():
-            if isinstance(trace, ColumnarTrace):
-                trace.close()
-        if interrupted:
-            # Interrupted mid-grid: drain our claim on the queues so exit
-            # never blocks joining a feeder thread with undelivered items.
-            for q in (task_queue, result_queue):
-                try:
-                    q.cancel_join_thread()
-                    q.close()
-                except (OSError, ValueError):
-                    pass
+            trace.close()
+        if exit_code is not None:
+            # Interrupted mid-grid. The signal can land inside a queue's
+            # put while this thread holds the queue's lock, and the queues'
+            # close/join finalizers would then deadlock on it; undelivered
+            # results are moot, so leave without running finalizers.
+            os._exit(exit_code)
 
 
 # -- parent side ---------------------------------------------------------------
@@ -378,21 +377,16 @@ def execute_serial(
     """In-process execution — the ``--jobs 1`` path. No subprocesses, no
     serialization round-trips beyond the result cache: exceptions surface
     with their original tracebacks, which keeps this the debuggable
-    default. Forward analyses run on the store's columnar trace (the
-    frontier loops) when the store provides one."""
+    default."""
     metrics = _resolve_metrics(metrics)
     emit = progress or _null_listener
     land = on_outcome or (lambda outcome: None)
     total = len(jobs)
-    columnar = getattr(store, "columnar", None)
     outcomes: List[JobOutcome] = []
     for index, job in enumerate(jobs):
         try:
             with span("trace_load"):
-                if columnar is not None and job.prefers_columnar:
-                    trace = columnar(job.workload, job.cap, optimize=job.optimize)
-                else:
-                    trace = store.trace(job.workload, job.cap, optimize=job.optimize)
+                trace = store.trace(job.workload, job.cap, optimize=job.optimize)
         except Exception as error:  # noqa: BLE001 - bad workload spec, not a crash
             outcome = JobOutcome(
                 index,
@@ -537,7 +531,6 @@ def execute_jobs(
     shm_blocks: List[object] = []
     trace_refs: Dict[tuple, Tuple[str, str]] = {}
     ref_hook = getattr(store, "trace_ref", None)
-    columnar = getattr(store, "columnar", None) if shared_memory else None
     for index, job in enumerate(jobs):
         trace_key = job.trace_key
         if outcomes[index] is not None or trace_key in trace_refs:
@@ -556,10 +549,10 @@ def execute_jobs(
             if hook_ref is not None:
                 trace_refs[trace_key] = (hook_ref[0], hook_ref[1])
                 continue
-        if columnar is not None:
+        if shared_memory:
             try:
                 with span("shm_pack"):
-                    block = columnar(
+                    block = store.trace(
                         job.workload, job.cap, optimize=job.optimize
                     ).to_shared_memory()
             except Exception:  # noqa: BLE001 - shm is an optimization, not a requirement

@@ -24,7 +24,7 @@ lack syscalls, fall back to exact sequential streaming. Either way the
 peak resident set is bounded by segment size, never trace size.
 
 The :class:`ShardTraceStore` speaks the trace-store protocol the pool
-expects (``trace`` / ``columnar`` / ``ensure_on_disk``), but every
+expects (``trace`` / ``ensure_on_disk`` / ``trace_ref``), but every
 "workload" is one segment of one file, so cache keys and journal entries
 for different segments never collide: the workload name embeds the trace
 digest and segment index, and the per-segment digest stands in for the
@@ -98,12 +98,9 @@ class ShardTraceStore:
             )
         return entry
 
-    def columnar(self, workload: str, cap: int, optimize: bool = False):
+    def trace(self, workload: str, cap: int, optimize: bool = False):
         entry = self._entry(workload, cap)
         return decode_segment(self.path, self.manifest, entry.index)
-
-    def trace(self, workload: str, cap: int, optimize: bool = False):
-        return self.columnar(workload, cap, optimize=optimize).to_buffer()
 
     def ensure_on_disk(self, workload: str, cap: int, optimize: bool = False):
         """``(path, digest)`` for the job's input: the shared trace file

@@ -2,10 +2,12 @@
 
 Every experiment analyzes the same capped traces under different Paragraph
 configurations (the paper likewise captured a Pixie trace once and reran
-the analyzer). The store keeps traces in memory for the process lifetime
-and optionally persists them to disk in the binary trace format; the
-parallel engine shares that on-disk cache with its worker processes so a
-multi-hundred-thousand-record buffer is never pickled per job.
+the analyzer). The store keeps one :class:`~repro.trace.columnar.ColumnarTrace`
+per trace in memory for the process lifetime and optionally persists it to
+disk in the binary trace format, from which it decodes straight back into
+columns; the parallel engine shares that on-disk cache with its worker
+processes so a multi-hundred-thousand-record trace is never pickled per
+job.
 
 Disk-cache integrity: trace files embed a format version and content
 digest (see :mod:`repro.trace.io`). A stale, truncated, or corrupted
@@ -22,7 +24,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.obs import metrics as obs
 from repro.obs.spans import span
-from repro.trace.buffer import TraceBuffer
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import (
     TraceFormatError,
@@ -44,8 +45,7 @@ class TraceStore:
 
     def __init__(self, directory: Optional[str] = None):
         self.directory = directory
-        self._memory: Dict[Tuple[str, int, bool], TraceBuffer] = {}
-        self._columnar: Dict[Tuple[str, int, bool], ColumnarTrace] = {}
+        self._memory: Dict[Tuple[str, int, bool], ColumnarTrace] = {}
         self._lengths: Dict[str, int] = {}
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -63,8 +63,10 @@ class TraceStore:
         suffix = ".opt" if optimize else ""
         return os.path.join(self.directory, f"{name}.{cap}{suffix}.pgt")
 
-    def trace(self, workload, cap: int = DEFAULT_CAP, optimize: bool = False) -> TraceBuffer:
-        """The first ``cap`` dynamic instructions of ``workload``."""
+    def trace(self, workload, cap: int = DEFAULT_CAP, optimize: bool = False) -> ColumnarTrace:
+        """The first ``cap`` dynamic instructions of ``workload``, decoded
+        from the on-disk ``.pgt`` file when one exists, else simulated
+        (and written to disk when the store is disk-backed)."""
         if isinstance(workload, str):
             workload = load_workload(workload)
         key = (workload.name, cap, optimize)
@@ -100,51 +102,6 @@ class TraceStore:
             obs.inc("trace_store.disk_hit")
         self._memory[key] = trace
         return trace
-
-    def columnar(
-        self, workload, cap: int = DEFAULT_CAP, optimize: bool = False
-    ) -> ColumnarTrace:
-        """The columnar form of a workload trace, cached per store.
-
-        Built by flattening the in-memory buffer when one exists, else
-        decoded straight from the on-disk ``.pgt`` file (no per-record
-        tuples); a missing or stale file falls back through :meth:`trace`,
-        which regenerates it. Either way the content digest is the same as
-        the buffer/file digest, so result-cache keys are representation-
-        independent.
-        """
-        name = workload if isinstance(workload, str) else workload.name
-        key = (name, cap, optimize)
-        cached = self._columnar.get(key)
-        if cached is not None:
-            obs.inc("trace_store.memory_hit")
-            return cached
-        obs.inc("trace_store.columnar_build")
-        columnar = None
-        buffer = self._memory.get(key)
-        if buffer is not None:
-            columnar = ColumnarTrace.from_buffer(buffer)
-        else:
-            path = self._path(name, cap, optimize)
-            if path and os.path.exists(path):
-                try:
-                    with span("trace_decode"):
-                        columnar = ColumnarTrace.from_file(path)
-                except TraceFormatError as error:
-                    logger.warning(
-                        "stale trace cache %s (%s); regenerating", path, error
-                    )
-                else:
-                    if len(columnar) > cap:
-                        logger.warning(
-                            "trace cache %s holds %d records for cap %d; regenerating",
-                            path, len(columnar), cap,
-                        )
-                        columnar = None
-            if columnar is None:
-                columnar = ColumnarTrace.from_buffer(self.trace(workload, cap, optimize))
-        self._columnar[key] = columnar
-        return columnar
 
     def ensure_on_disk(
         self, workload, cap: int = DEFAULT_CAP, optimize: bool = False
@@ -186,8 +143,8 @@ class TraceStore:
         return path, trace.digest()
 
     def invalidate(self, workload, cap: int = DEFAULT_CAP, optimize: bool = False) -> bool:
-        """Drop every cached form of one trace — memory buffer, columnar
-        view, and the on-disk ``.pgt`` file — so the next request
+        """Drop every cached form of one trace — the in-memory columns and
+        the on-disk ``.pgt`` file — so the next request
         regenerates it from the workload. The resilience layer calls this
         before retrying a job that failed on a truncated or corrupted
         cached trace; returns ``True`` when anything was actually
@@ -195,7 +152,6 @@ class TraceStore:
         name = workload if isinstance(workload, str) else workload.name
         key = (name, cap, optimize)
         dropped = self._memory.pop(key, None) is not None
-        dropped = (self._columnar.pop(key, None) is not None) or dropped
         path = self._path(name, cap, optimize)
         if path and os.path.exists(path):
             try:
@@ -223,6 +179,6 @@ class TraceStore:
 DEFAULT_STORE = TraceStore()
 
 
-def workload_trace(name: str, cap: int = DEFAULT_CAP) -> TraceBuffer:
+def workload_trace(name: str, cap: int = DEFAULT_CAP) -> ColumnarTrace:
     """Convenience accessor against the default store."""
     return DEFAULT_STORE.trace(name, cap)

@@ -55,7 +55,7 @@ from repro.serve.state import (
     JobRegistry,
     QueueFullError,
 )
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import read_trace_digest, write_trace_file
 
 
@@ -131,7 +131,7 @@ class ServeStore:
 
     # -- uploads -----------------------------------------------------------
 
-    def add_upload(self, trace: TraceBuffer, size: Optional[int] = None) -> Tuple[str, int]:
+    def add_upload(self, trace: ColumnarTrace, size: Optional[int] = None) -> Tuple[str, int]:
         """Register an uploaded trace; returns its (name, cap). Identical
         uploads land on the same name — uploads dedupe by content too.
         ``size`` is the wire size charged against the upload budget;
@@ -189,7 +189,7 @@ class ServeStore:
     def upload_bytes(self) -> int:
         return self._upload_total
 
-    def _require_upload(self, name: str, cap: int, optimize: bool) -> TraceBuffer:
+    def _require_upload(self, name: str, cap: int, optimize: bool) -> ColumnarTrace:
         if optimize or self._uploads.get(name) != cap:
             raise KeyError(
                 f"unknown uploaded trace {name!r} at cap {cap} (optimize={optimize})"
@@ -203,13 +203,6 @@ class ServeStore:
         if name in self._uploads:
             return self._require_upload(name, cap, optimize)
         return self._base.trace(workload, cap, optimize)
-
-    def columnar(self, workload, cap: int = DEFAULT_CAP, optimize: bool = False):
-        name = workload if isinstance(workload, str) else workload.name
-        if name in self._uploads:
-            self._require_upload(name, cap, optimize)
-            return self._base.columnar(name, cap, optimize)
-        return self._base.columnar(workload, cap, optimize)
 
     def ensure_on_disk(self, workload, cap: int = DEFAULT_CAP, optimize: bool = False):
         name = workload if isinstance(workload, str) else workload.name
@@ -514,7 +507,7 @@ class AnalysisService:
         return name, cap, digest
 
     @staticmethod
-    def _parse_upload(payload: bytes) -> Tuple[TraceBuffer, str]:
+    def _parse_upload(payload: bytes) -> Tuple[ColumnarTrace, str]:
         import tempfile
 
         from repro.trace.io import TraceFormatError, read_trace_file

@@ -1,6 +1,5 @@
-"""Trace layer: record format, buffers, binary IO, statistics, synthesis."""
+"""Trace layer: record format, columnar traces, binary IO, statistics, synthesis."""
 
-from repro.trace.buffer import TraceBuffer
 from repro.trace.columnar import ColumnarTrace, SharedTraceError
 from repro.trace.io import read_trace_file, write_trace_file
 from repro.trace.record import (
@@ -20,7 +19,6 @@ from repro.trace.stats import TraceStats, compute_stats
 from repro.trace.synthetic import TraceBuilder, independent_ops, random_trace, serial_chain
 
 __all__ = [
-    "TraceBuffer",
     "ColumnarTrace",
     "SharedTraceError",
     "read_trace_file",

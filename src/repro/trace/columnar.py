@@ -1,9 +1,9 @@
-"""Columnar trace representation: flat arrays instead of tuple-per-record.
+"""Columnar traces: the one in-memory trace representation.
 
-A :class:`~repro.trace.buffer.TraceBuffer` stores one 5-tuple per dynamic
-instruction — hundreds of thousands of small heap objects that the analyzer
-hot loop then pointer-chases. A :class:`ColumnarTrace` stores the same
-logical content as seven flat ``array('q')`` columns:
+Paragraph analyzes a serial trace that was captured once and read many
+times. Here every trace is a :class:`ColumnarTrace`: the same logical
+records as :mod:`repro.trace.record` describes, stored as seven flat
+``array('q')`` columns:
 
 ========  ====================================================================
 Column    Meaning
@@ -18,27 +18,34 @@ dest_offsets, dest_values  CSR-encoded destination-location lists
 Record ``i``'s sources are ``src_values[src_offsets[i]:src_offsets[i+1]]``
 (likewise destinations), so the placement loops in
 :mod:`repro.core.stream` scan plain machine integers with no per-record
-allocation. The columnar form is buildable from a ``TraceBuffer``, decodable
-directly from PGT2 files (without materializing tuples), and packable
-into POSIX shared memory so the parallel engine's workers can attach the
-parent's copy zero-copy instead of re-decoding the trace file per process.
+allocation. Every producer returns columns: the simulator's record list
+is flattened once by :meth:`ColumnarTrace.from_buffer`, PGT2 files decode
+straight into columns (:func:`repro.trace.io.read_trace_file`), and the
+parallel engine's workers attach a parent's copy zero-copy from POSIX
+shared memory.
 
-Content identity is preserved across every representation: ``digest()``
-equals :meth:`TraceBuffer.digest` for the same records, the PGT2 header
-digest, and the digest embedded in a shared-memory block's header.
+Consumers that want records — the reference analyzer, two-pass, the
+oracle, the baselines — iterate the trace. Iteration zips the scalar
+columns with the memoized operand-tuple view (:meth:`operand_tuples`),
+whose tuples are interned: every record of one static instruction (and
+any other records with equal operands) shares one tuple object, so the
+view costs little more than two lists of pointers.
+
+Content identity is preserved across every form: ``digest()`` equals the
+PGT2 header digest of the same records and the digest embedded in a
+shared-memory block's header.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
-from itertools import islice
+from itertools import accumulate, chain, islice
 from operator import itemgetter
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.isa.opclasses import OpClass
-from repro.trace.buffer import TraceBuffer
-from repro.trace.io import digest_records, read_trace_payload, scan_columns_fast
+from repro.trace.io import digest_records, read_trace_file
 from repro.trace.record import FLAG_CONDITIONAL, TraceRecord
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
@@ -54,17 +61,23 @@ _SHM_HEADER = struct.Struct("<4sIIIQQQ32s")
 
 def _split(values, counts) -> list:
     """One tuple per record from a CSR value column and its arities, with
-    the zero-, one- and two-operand shapes unrolled."""
+    the zero-, one- and two-operand shapes unrolled. Equal tuples are
+    interned through a per-call dict, so all records of one static
+    instruction share one tuple object."""
     operands = iter(values)
+    intern = {}.setdefault
     tuples = []
     append = tuples.append
     for count in counts:
         if count == 1:
-            append((next(operands),))
+            operand = (next(operands),)
+            append(intern(operand, operand))
         elif count == 2:
-            append((next(operands), next(operands)))
+            operand = (next(operands), next(operands))
+            append(intern(operand, operand))
         elif count:
-            append(tuple(islice(operands, count)))
+            operand = tuple(islice(operands, count))
+            append(intern(operand, operand))
         else:
             append(())
     return tuples
@@ -95,7 +108,6 @@ class ColumnarTrace:
         "_census",
         "_operand_counts",
         "_operand_tuples",
-        "_buffer",
         "_shm",
         "_views",
         "_vk_index",
@@ -125,7 +137,6 @@ class ColumnarTrace:
         self._census = None
         self._operand_counts = None
         self._operand_tuples = None
-        self._buffer = None
         self._shm = None
         self._views = ()
         # Batch access-index cache for the vectorized backend
@@ -135,47 +146,40 @@ class ColumnarTrace:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_buffer(cls, buffer: TraceBuffer) -> "ColumnarTrace":
-        """Flatten an in-memory tuple trace into columns. The buffer's
-        cached digest (if already computed) carries over; otherwise the
-        digest is computed lazily on first :meth:`digest` call."""
-        count = len(buffer)
-        opclass = array("q", bytes(8 * count))
-        flags = array("q", bytes(8 * count))
-        aux = array("q", bytes(8 * count))
-        src_offsets = array("q", bytes(8 * (count + 1)))
-        dest_offsets = array("q", bytes(8 * (count + 1)))
-        src_values = array("q")
-        dest_values = array("q")
-        for index, (klass, srcs, dests, flag, auxval) in enumerate(buffer.records):
-            opclass[index] = klass
-            flags[index] = flag
-            aux[index] = auxval
-            src_values.extend(srcs)
-            dest_values.extend(dests)
-            src_offsets[index + 1] = len(src_values)
-            dest_offsets[index + 1] = len(dest_values)
-        trace = cls(
-            opclass,
-            flags,
-            aux,
-            src_offsets,
-            src_values,
-            dest_offsets,
-            dest_values,
-            buffer.segments,
-            digest=buffer._digest,
+    def from_buffer(
+        cls, records: Iterable, segments: Optional[SegmentMap] = None
+    ) -> "ColumnarTrace":
+        """The one coercion to a trace: a :class:`ColumnarTrace` comes back
+        unchanged; any other record sequence (the simulator's record list,
+        a list of :func:`~repro.trace.record.make_record` tuples) is
+        flattened into columns. For flattened records ``segments``
+        defaults to their own ``segments`` attribute, else
+        :data:`DEFAULT_SEGMENTS`; the digest is computed lazily on first
+        :meth:`digest` call."""
+        if isinstance(records, ColumnarTrace):
+            return records
+        if segments is None:
+            segments = getattr(records, "segments", DEFAULT_SEGMENTS)
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
+        srcs = list(map(itemgetter(1), records))
+        dests = list(map(itemgetter(2), records))
+        return cls(
+            array("q", map(itemgetter(0), records)),
+            array("q", map(itemgetter(3), records)),
+            array("q", map(itemgetter(4), records)),
+            array("q", accumulate(map(len, srcs), initial=0)),
+            array("q", chain.from_iterable(srcs)),
+            array("q", accumulate(map(len, dests), initial=0)),
+            array("q", chain.from_iterable(dests)),
+            segments,
         )
-        trace._buffer = buffer  # to_buffer() round-trips for free
-        return trace
 
     @classmethod
     def from_file(cls, path) -> "ColumnarTrace":
-        """Decode a PGT2 trace file straight into columns — no per-record
-        tuples — verifying the header content digest."""
-        segments, count, digest, payload = read_trace_payload(path)
-        columns = scan_columns_fast(payload, count)
-        return cls(*columns, segments, digest=digest)
+        """Decode a PGT2 trace file straight into columns, verifying the
+        header content digest (see :func:`repro.trace.io.read_trace_file`)."""
+        return read_trace_file(path)
 
     # -- record views ------------------------------------------------------
 
@@ -190,47 +194,33 @@ class ColumnarTrace:
         return (self.opclass[index], srcs, dests, self.flags[index], self.aux[index])
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        """Reconstruct records lazily, so a ``ColumnarTrace`` is accepted
-        everywhere a record iterable is (reference analyzer, DDG builder,
-        trace statistics)."""
-        src_values = self.src_values
-        dest_values = self.dest_values
-        src_offsets = self.src_offsets
-        dest_offsets = self.dest_offsets
-        s_lo = 0
-        d_lo = 0
-        for index, klass in enumerate(self.opclass):
-            s_hi = src_offsets[index + 1]
-            d_hi = dest_offsets[index + 1]
-            yield (
-                klass,
-                tuple(src_values[s_lo:s_hi]),
-                tuple(dest_values[d_lo:d_hi]),
-                self.flags[index],
-                self.aux[index],
-            )
-            s_lo = s_hi
-            d_lo = d_hi
+        """Records in trace order, built over the memoized operand-tuple
+        view (so a record's ``srcs`` is the view's interned tuple)."""
+        return zip(self.opclass, *self.operand_tuples(), self.flags, self.aux)
 
-    def to_buffer(self) -> TraceBuffer:
-        """Materialize back to a tuple-per-record buffer (for consumers that
-        need ``.records``, e.g. the two-pass analyzer's reverse scan and
-        the other checkers).
-
-        Memoized: repeated calls — e.g. several checker jobs against one
-        shared-memory trace — pay the tuple materialization once.
-        """
-        if self._buffer is None:
-            buffer = TraceBuffer(list(self), self.segments)
-            buffer._digest = self._digest
-            self._buffer = buffer
-        return self._buffer
+    def head(self, count: int) -> "ColumnarTrace":
+        """The first ``count`` records as a trace of their own (the paper
+        caps analysis at a fixed instruction budget from the start of the
+        trace). A count past the end returns this trace."""
+        if count >= len(self.opclass):
+            return self
+        return ColumnarTrace(
+            self.opclass[:count],
+            self.flags[:count],
+            self.aux[:count],
+            self.src_offsets[:count + 1],
+            self.src_values[:self.src_offsets[count]],
+            self.dest_offsets[:count + 1],
+            self.dest_values[:self.dest_offsets[count]],
+            self.segments,
+        )
 
     def digest(self) -> str:
-        """Stable content digest — identical to the same trace's
-        :meth:`TraceBuffer.digest` and PGT2 header digest."""
+        """Stable content digest — identical to the PGT2 header digest of
+        the same records, and the trace half of every engine result-cache
+        key. Cached."""
         if self._digest is None:
-            self._digest = digest_records(self.segments, len(self), iter(self))
+            self._digest = digest_records(self.segments, len(self), self)
         return self._digest
 
     def census(self, start: int = 0, end: Optional[int] = None) -> Tuple[int, int]:
@@ -302,31 +292,19 @@ class ColumnarTrace:
 
         The full-semantics frontier loop visits every operand two or three
         times per record, which boxed tuples serve better than offset
-        slices of the value columns. The whole-trace view is memoized like
-        :meth:`operand_counts`; a trace built from a buffer reuses that
-        buffer's tuples instead of building its own. A part of a trace with
-        neither (a shard's suffix, say) is split on its own and not kept.
+        slices of the value columns; iteration reads them too. The
+        whole-trace view is memoized like :meth:`operand_counts`, and its
+        tuples are interned (see the module docstring). A part of a trace
+        whose view is not built yet (a shard's suffix, say) is split on its
+        own and not kept.
         """
         count = len(self.opclass)
         if end is None:
             end = count
         whole = start == 0 and end == count
         if self._operand_tuples is None:
-            buffer = self._buffer
-            if buffer is not None:
-                records = buffer.records
-                self._operand_tuples = (
-                    list(map(itemgetter(1), records)),
-                    list(map(itemgetter(2), records)),
-                )
-            elif whole:
-                src_counts, dest_counts = self.operand_counts()
-                self._operand_tuples = (
-                    _split(self.src_values, src_counts),
-                    _split(self.dest_values, dest_counts),
-                )
-            else:
-                src_counts, dest_counts = self.operand_counts()
+            src_counts, dest_counts = self.operand_counts()
+            if not whole:
                 return (
                     _split(
                         memoryview(self.src_values)[self.src_offsets[start]:],
@@ -337,6 +315,10 @@ class ColumnarTrace:
                         memoryview(dest_counts)[start:end],
                     ),
                 )
+            self._operand_tuples = (
+                _split(self.src_values, src_counts),
+                _split(self.dest_values, dest_counts),
+            )
         src_tuples, dest_tuples = self._operand_tuples
         if whole:
             return src_tuples, dest_tuples

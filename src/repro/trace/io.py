@@ -1,4 +1,4 @@
-"""Binary trace file format (streaming reader/writer).
+"""Binary trace file format (PGT2): streaming writer, columnar reader.
 
 The paper's Pixie traces were produced once and analyzed many times under
 different Paragraph configurations; this module plays the same role. Because
@@ -29,8 +29,12 @@ Each record::
 
 The digest covers the packed segment fields, the record count, and every
 record byte — the full logical content of the trace — so
-:meth:`repro.trace.buffer.TraceBuffer.digest` (computed in memory) and the
-header digest of a written file always agree.
+:meth:`repro.trace.columnar.ColumnarTrace.digest` (computed in memory) and
+the header digest of a written file always agree.
+
+Reading decodes the whole packed record stream straight into the columns
+of a :class:`~repro.trace.columnar.ColumnarTrace` (vectorized with NumPy,
+a python scan without); no per-record tuples are built.
 """
 
 from __future__ import annotations
@@ -38,9 +42,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from array import array
-from typing import BinaryIO, Iterable, Iterator, Optional, Tuple
+from typing import BinaryIO, Iterable, Tuple
 
-from repro.trace.buffer import TraceBuffer
 from repro.trace.record import TraceRecord
 from repro.trace.segments import SegmentMap
 
@@ -83,16 +86,9 @@ def _pack_record(record: TraceRecord) -> bytes:
     return head
 
 
-def trace_digest(trace: TraceBuffer) -> str:
-    """Content digest of an in-memory trace: identical to the digest embedded
-    in the header when the same trace is written to disk."""
-    return digest_records(trace.segments, len(trace), trace.records)
-
-
 def digest_records(segments: SegmentMap, count: int, records: Iterable[TraceRecord]) -> str:
-    """Content digest over an arbitrary record iterable (shared by
-    :func:`trace_digest` and the columnar trace, which reconstructs records
-    from its flat columns)."""
+    """Content digest over a record iterable: identical to the digest
+    embedded in the header when the same records are written to disk."""
     hasher = _digest_hasher(segments, count)
     for record in records:
         hasher.update(_pack_record(record))
@@ -150,10 +146,12 @@ def write_trace(
     return digest.hex()
 
 
-def write_trace_file(path, trace: TraceBuffer) -> str:
-    """Write an in-memory trace buffer to ``path``; returns its digest."""
+def write_trace_file(path, trace) -> str:
+    """Write an in-memory trace (a
+    :class:`~repro.trace.columnar.ColumnarTrace`) to ``path``, packing
+    from its records; returns its digest."""
     with open(path, "wb") as stream:
-        return write_trace(stream, trace.records, trace.segments, len(trace))
+        return write_trace(stream, trace, trace.segments, len(trace))
 
 
 def read_header(stream: BinaryIO) -> Tuple[SegmentMap, int, str]:
@@ -190,44 +188,14 @@ def read_trace_digest(path) -> str:
     return digest
 
 
-def iter_trace(
-    stream: BinaryIO, hasher: Optional["hashlib._Hash"] = None
-) -> Iterator[TraceRecord]:
-    """Stream records from an open trace file positioned after the header.
-
-    When ``hasher`` is given, every raw record byte is fed to it so the
-    caller can verify the header digest after exhausting the iterator.
-    """
-    read = stream.read
-    unpack_head = _REC_HEAD.unpack
-    head_size = _REC_HEAD.size
-    while True:
-        raw = read(head_size)
-        if not raw:
-            return
-        if len(raw) != head_size:
-            raise TraceFormatError("truncated record header")
-        opclass, flags, nsrcs, ndests, aux = unpack_head(raw)
-        body = read(4 * (nsrcs + ndests))
-        if len(body) != 4 * (nsrcs + ndests):
-            raise TraceFormatError("truncated record body")
-        if hasher is not None:
-            hasher.update(raw)
-            hasher.update(body)
-        all_locs = struct.unpack(f"<{nsrcs + ndests}I", body) if nsrcs + ndests else ()
-        srcs = all_locs[:nsrcs]
-        dests = all_locs[nsrcs:]
-        yield (opclass, srcs, dests, flags, aux)
-
-
 def read_trace_payload(path) -> Tuple[SegmentMap, int, str, bytes]:
     """Read a trace file's header plus its raw packed record stream in one
     gulp, verifying the content digest.
 
     The digest covers the concatenated record bytes, so hashing the whole
     payload at once is equivalent to the per-record updates of
-    :func:`write_trace` — and much faster. Used by the columnar decoder,
-    which parses the packed stream without building per-record tuples.
+    :func:`write_trace` — and much faster. :func:`read_trace_file` then
+    parses the packed stream without building per-record tuples.
     """
     with open(path, "rb") as stream:
         segments, count, digest = read_header(stream)
@@ -389,23 +357,14 @@ def scan_columns_fast(payload, count: int):
     return gather_columns(payload, heads, count)
 
 
-def read_trace_file(path) -> TraceBuffer:
-    """Read a whole trace file into a :class:`TraceBuffer`, verifying the
-    record count and content digest; any mismatch raises
+def read_trace_file(path):
+    """Decode a whole trace file into a
+    :class:`~repro.trace.columnar.ColumnarTrace`, verifying the record
+    count and content digest; any mismatch raises
     :class:`TraceFormatError` rather than returning corrupt data."""
     from repro.obs import metrics as obs
+    from repro.trace.columnar import ColumnarTrace
 
     obs.inc("trace_io.file_reads")
-    with open(path, "rb") as stream:
-        segments, count, digest = read_header(stream)
-        hasher = _digest_hasher(segments, count)
-        records = list(iter_trace(stream, hasher))
-    if len(records) != count:
-        raise TraceFormatError(f"header promised {count} records, file holds {len(records)}")
-    if hasher.hexdigest() != digest:
-        raise TraceFormatError(
-            f"trace digest mismatch in {path}: file is stale or corrupted"
-        )
-    trace = TraceBuffer(records, segments)
-    trace._digest = digest
-    return trace
+    segments, count, digest, payload = read_trace_payload(path)
+    return ColumnarTrace(*scan_columns_fast(payload, count), segments, digest=digest)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.isa.opclasses import PLACED_CLASSES, OpClass
-from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN, TraceRecord
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN
 
 
 @dataclass
@@ -36,30 +38,31 @@ class TraceStats:
 _FP_CLASSES = {OpClass.FADD, OpClass.FMUL, OpClass.FDIV}
 
 
-def compute_stats(records: Iterable[TraceRecord]) -> TraceStats:
-    """Single pass over a trace computing :class:`TraceStats`."""
-    stats = TraceStats()
+def compute_stats(trace) -> TraceStats:
+    """:class:`TraceStats` of a trace (anything
+    :meth:`ColumnarTrace.from_buffer` accepts), read from its ``opclass``
+    and ``flags`` columns: one C-level count of ``(opclass, flags)``
+    pairs, then a handful of python steps per distinct pair."""
+    trace = ColumnarTrace.from_buffer(trace)
+    stats = TraceStats(total=len(trace))
     by_class: Dict[int, int] = {}
-    for record in records:
-        opclass = record[0]
-        stats.total += 1
-        by_class[opclass] = by_class.get(opclass, 0) + 1
+    for (opclass, flags), count in Counter(zip(trace.opclass, trace.flags)).items():
+        by_class[opclass] = by_class.get(opclass, 0) + count
         if opclass in PLACED_CLASSES:
-            stats.placed += 1
+            stats.placed += count
         if opclass == OpClass.BRANCH or opclass == OpClass.JUMP:
-            stats.branches += 1
-            flags = record[3]
+            stats.branches += count
             if flags & FLAG_CONDITIONAL:
-                stats.conditional_branches += 1
+                stats.conditional_branches += count
                 if flags & FLAG_TAKEN:
-                    stats.taken_branches += 1
+                    stats.taken_branches += count
         elif opclass == OpClass.SYSCALL:
-            stats.syscalls += 1
+            stats.syscalls += count
         elif opclass == OpClass.LOAD:
-            stats.loads += 1
+            stats.loads += count
         elif opclass == OpClass.STORE:
-            stats.stores += 1
+            stats.stores += count
         if opclass in _FP_CLASSES:
-            stats.fp_operations += 1
+            stats.fp_operations += count
     stats.by_class = {OpClass(key).name: value for key, value in sorted(by_class.items())}
     return stats

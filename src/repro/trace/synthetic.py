@@ -14,13 +14,13 @@ from typing import Optional, Sequence
 
 from repro.isa.locations import memory_location
 from repro.isa.opclasses import OpClass
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
 
 class TraceBuilder:
-    """Builds a :class:`TraceBuffer` record by record.
+    """Builds a :class:`~repro.trace.columnar.ColumnarTrace` record by record.
 
     Register operands are storage-location ids (0..63); memory operands are
     word addresses (converted internally).
@@ -73,12 +73,12 @@ class TraceBuilder:
         """Unconditional jump record."""
         return self.op(OpClass.JUMP, aux=pc)
 
-    def build(self) -> TraceBuffer:
+    def build(self) -> ColumnarTrace:
         """Finish and return the trace."""
-        return TraceBuffer(self.records, self.segments)
+        return ColumnarTrace.from_buffer(self.records, self.segments)
 
 
-def serial_chain(length: int, opclass: OpClass = OpClass.IALU) -> TraceBuffer:
+def serial_chain(length: int, opclass: OpClass = OpClass.IALU) -> ColumnarTrace:
     """A fully serial trace: each op reads the previous op's result.
 
     Critical path (unit latency) == ``length``; available parallelism == 1.
@@ -89,7 +89,7 @@ def serial_chain(length: int, opclass: OpClass = OpClass.IALU) -> TraceBuffer:
     return builder.build()
 
 
-def independent_ops(length: int, registers: int = 32) -> TraceBuffer:
+def independent_ops(length: int, registers: int = 32) -> ColumnarTrace:
     """A trace of operations with no true dependencies (distinct dests,
     pre-existing sources). Fully parallel when renamed."""
     builder = TraceBuilder()
@@ -107,7 +107,7 @@ def random_trace(
     branch_fraction: float = 0.1,
     syscall_fraction: float = 0.01,
     segments: SegmentMap = DEFAULT_SEGMENTS,
-) -> TraceBuffer:
+) -> ColumnarTrace:
     """A random, structurally valid trace for property tests.
 
     Memory references split evenly between the data segment (from

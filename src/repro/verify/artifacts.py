@@ -23,7 +23,7 @@ import os
 from typing import List, Tuple
 
 from repro.core.config import AnalysisConfig
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import read_trace_file, write_trace_file
 
 TRACE_SUFFIX = ".pgt2"
@@ -36,7 +36,7 @@ ARTIFACT_FORMAT = 1
 def persist_failure(
     directory: str,
     case,
-    trace: TraceBuffer,
+    trace: ColumnarTrace,
     failures: List[str],
 ) -> Tuple[str, str]:
     """Write the (trace, sidecar) pair for a failing case; returns their
@@ -63,7 +63,7 @@ def persist_failure(
     return trace_path, meta_path
 
 
-def load_artifact(path: str) -> Tuple[TraceBuffer, AnalysisConfig, dict]:
+def load_artifact(path: str) -> Tuple[ColumnarTrace, AnalysisConfig, dict]:
     """Load a persisted counterexample from either half of the pair."""
     if path.endswith(TRACE_SUFFIX):
         meta_path = path[: -len(TRACE_SUFFIX)] + META_SUFFIX

@@ -43,7 +43,7 @@ from repro.core.branch import PREDICTOR_NAMES
 from repro.core.latency import LatencyTable
 from repro.core.resources import ResourceModel
 from repro.isa.opclasses import OpClass
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 from repro.trace.synthetic import TraceBuilder
 
@@ -74,7 +74,7 @@ class VerifyCase:
 
     index: int
     seed: int
-    trace: TraceBuffer
+    trace: ColumnarTrace
     config: AnalysisConfig
 
     @property
@@ -89,7 +89,7 @@ def case_seed(root_seed: int, index: int) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def generate_trace(rng: random.Random, segments: SegmentMap = DEFAULT_SEGMENTS) -> TraceBuffer:
+def generate_trace(rng: random.Random, segments: SegmentMap = DEFAULT_SEGMENTS) -> ColumnarTrace:
     """One adversarial random trace (1..MAX_CASE_RECORDS records)."""
     builder = TraceBuilder(segments)
     data_addrs = [segments.data_base + i for i in range(4)]
@@ -191,10 +191,10 @@ def generate_case(root_seed: int, index: int) -> VerifyCase:
 
 
 def shrink_trace(
-    trace: TraceBuffer,
-    still_failing: Callable[[TraceBuffer], bool],
+    trace: ColumnarTrace,
+    still_failing: Callable[[ColumnarTrace], bool],
     min_records: int = 1,
-) -> TraceBuffer:
+) -> ColumnarTrace:
     """Greedy delta-debugging: the smallest sub-trace (by record deletion,
     order preserved) on which ``still_failing`` still returns True.
 
@@ -210,10 +210,10 @@ def shrink_trace(
         while index < len(records) and len(records) > min_records:
             candidate = records[:index] + records[index + chunk:]
             if len(candidate) >= min_records and still_failing(
-                TraceBuffer(candidate, segments)
+                ColumnarTrace.from_buffer(candidate, segments)
             ):
                 records = candidate  # keep the deletion, retry same position
             else:
                 index += chunk
         chunk //= 2
-    return TraceBuffer(records, segments)
+    return ColumnarTrace.from_buffer(records, segments)

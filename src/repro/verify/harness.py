@@ -55,7 +55,7 @@ from repro.core.config import CONSERVATIVE, OPTIMISTIC, AnalysisConfig
 from repro.core.latency import LatencyTable
 from repro.core.results import AnalysisResult
 from repro.isa.opclasses import OpClass, PLACED_CLASSES
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.record import FLAG_CONDITIONAL
 from repro.verify.compare import diff_results
 from repro.verify.generate import VerifyCase, generate_case, shrink_trace
@@ -175,7 +175,7 @@ def case_plan(
 
 
 def _census_failures(
-    trace: TraceBuffer, config: AnalysisConfig, result: AnalysisResult
+    trace: ColumnarTrace, config: AnalysisConfig, result: AnalysisResult
 ) -> List[str]:
     """Conservation: result tallies match a direct census of the trace."""
     records = syscalls = branches = placed = 0
@@ -219,7 +219,7 @@ def _census_failures(
 
 
 def _firewall_partition_failures(
-    trace: TraceBuffer, config: AnalysisConfig
+    trace: ColumnarTrace, config: AnalysisConfig
 ) -> List[str]:
     """Each conservative system call's level strictly separates every
     earlier placed operation's level from every later one's (checked on
@@ -250,7 +250,7 @@ def _firewall_partition_failures(
 
 
 def evaluate_case(
-    trace: TraceBuffer,
+    trace: ColumnarTrace,
     config: AnalysisConfig,
     results: Dict[str, AnalysisResult],
 ) -> List[str]:
@@ -339,7 +339,7 @@ def evaluate_case(
 
 
 def analyze_case(
-    trace: TraceBuffer,
+    trace: ColumnarTrace,
     config: AnalysisConfig,
     plan: Optional[Sequence[Tuple[str, str, AnalysisConfig]]] = None,
 ) -> Tuple[Dict[str, AnalysisResult], List[str]]:
@@ -358,7 +358,7 @@ def analyze_case(
 
 
 def verify_case(
-    trace: TraceBuffer, config: AnalysisConfig, focus: str = "all"
+    trace: ColumnarTrace, config: AnalysisConfig, focus: str = "all"
 ) -> List[str]:
     """Fully verify one (trace, config) in-process; empty list = pass."""
     results, errors = analyze_case(trace, config, plan=case_plan(config, focus))
@@ -418,7 +418,7 @@ class GeneratedTraceStore:
     """A :class:`~repro.harness.runner.TraceStore` over generated case
     traces, keyed by case name — no workload suite behind it.
 
-    Wraps the real store's columnar caching and disk spill, so the
+    Wraps the real store's memory cache and disk spill, so the
     engine pool's worker processes (which only ever see trace file paths
     and shared-memory blocks, never workload names) work unchanged.
     """
@@ -438,7 +438,7 @@ class GeneratedTraceStore:
     def persist_to(self, directory: str) -> None:
         self._base.persist_to(directory)
 
-    def add(self, name: str, trace: TraceBuffer) -> int:
+    def add(self, name: str, trace: ColumnarTrace) -> int:
         """Register a generated trace; returns the cap (= record count)
         jobs against it must use."""
         cap = max(1, len(trace))
@@ -446,7 +446,7 @@ class GeneratedTraceStore:
         self._names[name] = cap
         return cap
 
-    def _require(self, name: str, cap: int, optimize: bool) -> TraceBuffer:
+    def _require(self, name: str, cap: int, optimize: bool) -> ColumnarTrace:
         if optimize or self._names.get(name) != cap:
             raise KeyError(
                 f"unknown generated trace {name!r} at cap {cap} "
@@ -454,14 +454,9 @@ class GeneratedTraceStore:
             )
         return self._base._memory[(name, cap, False)]
 
-    def trace(self, workload, cap: int, optimize: bool = False) -> TraceBuffer:
+    def trace(self, workload, cap: int, optimize: bool = False) -> ColumnarTrace:
         name = workload if isinstance(workload, str) else workload.name
         return self._require(name, cap, optimize)
-
-    def columnar(self, workload, cap: int, optimize: bool = False):
-        name = workload if isinstance(workload, str) else workload.name
-        self._require(name, cap, optimize)
-        return self._base.columnar(name, cap, optimize)
 
     def ensure_on_disk(self, workload, cap: int, optimize: bool = False):
         name = workload if isinstance(workload, str) else workload.name

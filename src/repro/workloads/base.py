@@ -9,7 +9,7 @@ from typing import Optional, Tuple
 from repro.asm.program import Program
 from repro.cpu.machine import Machine, RunResult
 from repro.lang.compiler import compile_source
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 
 
 @dataclass
@@ -62,8 +62,10 @@ class Workload:
         max_instructions: Optional[int] = None,
         trace: bool = True,
         optimize: bool = False,
-    ) -> Tuple[RunResult, Optional[TraceBuffer]]:
-        """Execute, returning ``(run_result, trace_or_None)``."""
+    ) -> Tuple[RunResult, Optional[ColumnarTrace]]:
+        """Execute, returning ``(run_result, trace_or_None)``. The
+        simulator's record list is flattened into columns once and
+        dropped with the machine."""
         machine = Machine(
             self.program(optimize=optimize),
             int_inputs=list(self.int_inputs),
@@ -75,7 +77,7 @@ class Workload:
 
     def trace(
         self, max_instructions: Optional[int] = None, optimize: bool = False
-    ) -> TraceBuffer:
+    ) -> ColumnarTrace:
         """Execute and return just the trace (the paper analyzes the first
         N instructions of each benchmark)."""
         _, trace = self.run(max_instructions=max_instructions, optimize=optimize)

@@ -25,7 +25,7 @@ from typing import Dict, Optional, Tuple
 from repro.asm.assembler import assemble
 from repro.asm.program import Program
 from repro.cpu.machine import Machine
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 
 #: Default element/iteration count baked into the sources below.
 N = 256
@@ -229,7 +229,7 @@ def micro_program(name: str) -> Program:
     return assemble(source)
 
 
-def micro_trace(name: str, max_instructions: Optional[int] = None) -> TraceBuffer:
+def micro_trace(name: str, max_instructions: Optional[int] = None) -> ColumnarTrace:
     """Run one micro-kernel and return its trace."""
     machine = Machine(micro_program(name))
     machine.run(max_instructions=max_instructions)

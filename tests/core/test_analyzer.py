@@ -268,7 +268,7 @@ class TestInputs:
         trace = self.stack_chain()
         config = unit(rename_stack=False)
         expected = analyze(trace, config)
-        for records in (trace.records, iter(trace.records)):
+        for records in (list(trace), iter(list(trace))):
             assert analyze(records, config).profile.counts == expected.profile.counts
 
     def test_segments_override_reaches_the_frontier(self):
@@ -280,4 +280,4 @@ class TestInputs:
         # the (renamed) data segment, so the WAR chain disappears.
         high = SegmentMap(stack_floor=STACK + 16, stack_top=STACK + 32)
         assert analyze(trace, config).critical_path_length > 3
-        assert analyze(trace.records, config, segments=high).critical_path_length == 3
+        assert analyze(list(trace), config, segments=high).critical_path_length == 3

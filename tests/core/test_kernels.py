@@ -3,9 +3,9 @@
 The :class:`~repro.core.stream.Frontier` loops are the python
 implementation of the placement semantics; every test here pins them
 field-for-field against the readable reference over the same traces and
-configurations — over columns built from a tuple buffer, over columns with
-no buffer behind them, and through the routed entry point (``analyze``
-handed the tuple buffer), so the input representation can never change
+configurations — over the columns, over a fresh copy of them with no
+memoized views, and through the routed entry point (``analyze`` handed a
+plain record list), so how a trace reaches the loops can never change
 results.
 """
 
@@ -54,17 +54,17 @@ def frontier_analyze(columnar, config):
     return finalize(advance(frontier, columnar, 0, len(columnar)))
 
 
-def cross_validate(buffer, config):
-    """One trace, one config, four ways: the frontier over buffer-backed
-    columns, over bufferless columns, ``analyze`` on the tuple buffer, and
-    the readable reference — all identical."""
-    columnar = ColumnarTrace.from_buffer(buffer)
-    bufferless = ColumnarTrace(*columnar._columns(), columnar.segments)
+def cross_validate(trace, config):
+    """One trace, one config, four ways: the frontier over the columns,
+    over a fresh copy with nothing memoized, ``analyze`` on the plain
+    record list, and the readable reference — all identical."""
+    columnar = ColumnarTrace.from_buffer(trace)
+    fresh = ColumnarTrace(*columnar._columns(), columnar.segments)
     frontier = frontier_analyze(columnar, config)
-    reference = reference_analyze(buffer, config)
+    reference = reference_analyze(columnar, config)
     assert_same_result(frontier, reference)
-    assert_same_result(frontier_analyze(bufferless, config), reference)
-    assert_same_result(analyze(buffer, config), reference)
+    assert_same_result(frontier_analyze(fresh, config), reference)
+    assert_same_result(analyze(list(columnar), config), reference)
     return frontier
 
 
@@ -119,15 +119,15 @@ CONFIG_GRID = [
 class TestKernelCrossValidation:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_config_grid_identical_results(self, seed):
-        buffer = random_trace(seed=seed, length=400, memory_words=24,
+        trace = random_trace(seed=seed, length=400, memory_words=24,
                               syscall_fraction=0.03)
         for config in CONFIG_GRID:
-            cross_validate(buffer, config)
+            cross_validate(trace, config)
 
     def test_empty_trace(self):
-        buffer = TraceBuilder().build()
+        trace = TraceBuilder().build()
         for config in (AnalysisConfig(), AnalysisConfig(window_size=4)):
-            result = cross_validate(buffer, config)
+            result = cross_validate(trace, config)
             assert result.records_processed == 0
 
     def test_syscall_only_trace(self):
@@ -209,7 +209,7 @@ class TestWindowedMispredictionFirewall:
     @pytest.mark.parametrize("window", [1, 3, 9])
     @pytest.mark.parametrize("predictor", ["not-taken", "bimodal", "gshare"])
     def test_random_branchy_traces_agree(self, seed, window, predictor):
-        buffer = random_trace(seed=seed, length=300, memory_words=16,
+        trace = random_trace(seed=seed, length=300, memory_words=16,
                               branch_fraction=0.3)
         config = AnalysisConfig(window_size=window, branch_predictor=predictor)
-        cross_validate(buffer, config)
+        cross_validate(trace, config)

@@ -97,7 +97,7 @@ class TestStreamEquivalence:
         first = result_to_dict(finalize(fr))
         assert result_to_dict(finalize(fr)) == first  # finalize did not mutate
         advance(fr, trace, 40)
-        assert result_to_dict(finalize(fr)) == expected(trace.to_buffer(), config)
+        assert result_to_dict(finalize(fr)) == expected(trace, config)
 
     def test_advance_rejects_bad_range(self):
         trace = ColumnarTrace.from_buffer(random_trace(14, 10))

@@ -17,7 +17,7 @@ class TestKillLists:
         builder.ialu(1)       # 0: create v1
         builder.ialu(2, 1)    # 1: read v1
         builder.ialu(3, 1)    # 2: last read of v1
-        kills = compute_kill_lists(builder.build().records)
+        kills = compute_kill_lists(list(builder.build()))
         assert kills[1] == ()
         assert kills[2] == (1,)
 
@@ -27,7 +27,7 @@ class TestKillLists:
         builder.ialu(2, 1)    # 1: last read (rewritten next)
         builder.ialu(1)
         builder.ialu(3, 1)    # 3: last read of the new value
-        kills = compute_kill_lists(builder.build().records)
+        kills = compute_kill_lists(list(builder.build()))
         assert kills[1] == (1,)
         assert kills[3] == (1,)
 
@@ -36,7 +36,7 @@ class TestKillLists:
         builder.ialu(1)
         builder.ialu(2, 1)    # would be last read...
         builder.branch(1)     # ...branch read doesn't count
-        kills = compute_kill_lists(builder.build().records)
+        kills = compute_kill_lists(list(builder.build()))
         assert kills[1] == (1,)
 
     def test_branch_reads_counted_when_requested(self):
@@ -44,7 +44,7 @@ class TestKillLists:
         builder.ialu(1)
         builder.ialu(2, 1)
         builder.branch(1)
-        kills = compute_kill_lists(builder.build().records, branch_reads=True)
+        kills = compute_kill_lists(list(builder.build()), branch_reads=True)
         assert kills[1] == ()  # the branch still reads v1 later
 
     def test_syscall_argument_not_a_read(self):
@@ -52,7 +52,7 @@ class TestKillLists:
         builder.ialu(1)
         builder.ialu(2, 1)
         builder.syscall(1)
-        kills = compute_kill_lists(builder.build().records)
+        kills = compute_kill_lists(list(builder.build()))
         assert kills[1] == (1,)
 
     def test_optimistic_syscall_dest_is_not_a_rebind(self):
@@ -66,7 +66,7 @@ class TestKillLists:
         builder.ialu(3, 5)                    # 1: read v5
         builder.op(OpClass.SYSCALL, (5,))     # 2: syscall "writing" r5
         builder.ialu(1, 5)                    # 3: still reads the value from 0
-        records = builder.build().records
+        records = list(builder.build())
         conservative = compute_kill_lists(records)
         optimistic = compute_kill_lists(records, optimistic_syscalls=True)
         assert conservative[1] == (5,)  # the syscall really rebinds r5

@@ -217,34 +217,34 @@ class TestLimitsAndExit:
 class TestTracing:
     def test_register_op_record(self):
         m = run_asm("li t0, 1\n li t1, 2\n add t2, t0, t1\n")
-        record = m.trace.records[2]
+        record = list(m.trace)[2]
         assert record[0] == int(OpClass.IALU)
         assert record[1] == (parse_register("t0"), parse_register("t1"))
         assert record[2] == (parse_register("t2"),)
 
     def test_load_record_includes_memory_source(self):
         m = run_asm("li t1, 0x2000\n lw t0, 3(t1)\n")
-        record = m.trace.records[1]
+        record = list(m.trace)[1]
         assert record[0] == int(OpClass.LOAD)
         assert record[1] == (parse_register("t1"), MEM_BASE + 0x2003)
 
     def test_store_record_destination_is_memory(self):
         m = run_asm("li t0, 5\n li t1, 0x2000\n sw t0, 0(t1)\n")
-        record = m.trace.records[2]
+        record = list(m.trace)[2]
         assert record[0] == int(OpClass.STORE)
         assert record[2] == (MEM_BASE + 0x2000,)
 
     def test_branch_records_flags_and_pc(self):
         m = run_asm("li t0, 1\n bnez t0, tgt\n nop\ntgt: li t1, 0\n bnez t1, tgt\n nop\n")
-        taken = m.trace.records[1]
+        taken = list(m.trace)[1]
         assert taken[3] == FLAG_CONDITIONAL | FLAG_TAKEN
         assert taken[4] == 1  # pc
-        fall = m.trace.records[3]
+        fall = list(m.trace)[3]
         assert fall[3] == FLAG_CONDITIONAL
 
     def test_nop_not_traced(self):
         m = run_asm("nop\n li t0, 1\n")
-        assert len(m.trace.records) == 1
+        assert len(list(m.trace)) == 1
 
     def test_untraced_machine_runs_without_records(self):
         machine = Machine(assemble("li t0, 1\n li t1, 2\n"), trace=False)

@@ -79,10 +79,10 @@ class TestErrors:
 
     def test_trace_records_syscall_dest_for_read(self):
         machine, _ = run("li v0, 5\n syscall\n", int_inputs=[1])
-        record = machine.trace.records[-1]
+        record = list(machine.trace)[-1]
         assert record[2] == (2,)  # writes v0
 
     def test_trace_records_no_dest_for_print(self):
         machine, _ = run("li a0, 1\n li v0, 1\n syscall\n")
-        record = machine.trace.records[-1]
+        record = list(machine.trace)[-1]
         assert record[2] == ()

@@ -72,7 +72,7 @@ class TestSharedTraceReuse:
         """A ``--jobs 4`` grid must decode each distinct workload trace at
         most once — in the parent, into the shared-memory columnar block —
         and workers must attach that block instead of re-decoding the
-        ``.pgt`` file per process."""
+        ``.pgt`` file per process. Both decode entry points are counted."""
         if "fork" not in __import__("multiprocessing").get_all_start_methods():
             pytest.skip("decode counting via inherited patches needs fork")
 
@@ -94,14 +94,14 @@ class TestSharedTraceReuse:
 
         def counted_from_file(cls, path):
             with open(log, "a") as handle:
-                handle.write(f"columnar {os.getpid()}\n")
+                handle.write(f"decode {os.getpid()}\n")
             return original_from_file(cls, path)
 
         original_read = io_module.read_trace_file
 
         def counted_read(path):
             with open(log, "a") as handle:
-                handle.write(f"tuple {os.getpid()}\n")
+                handle.write(f"decode {os.getpid()}\n")
             return original_read(path)
 
         monkeypatch.setattr(
@@ -118,15 +118,12 @@ class TestSharedTraceReuse:
         results = engine.analyze_grid(grid())
         assert [result_to_bytes(result) for result in results] == serial_bytes
 
-        lines = log.read_text().splitlines()
-        columnar_decodes = [line for line in lines if line.startswith("columnar")]
-        tuple_decodes = [line for line in lines if line.startswith("tuple")]
+        decodes = log.read_text().splitlines()
         parent = str(os.getpid())
-        # One columnar decode per distinct workload, all in the parent;
-        # workers attached shared memory and never touched a trace file.
-        assert len(columnar_decodes) == len(WORKLOADS)
-        assert all(line.split()[1] == parent for line in columnar_decodes)
-        assert tuple_decodes == []
+        # One decode per distinct workload, all in the parent; workers
+        # attached shared memory and never touched a trace file.
+        assert len(decodes) == len(WORKLOADS)
+        assert all(line.split()[1] == parent for line in decodes)
 
 
 class TestResultCache:

@@ -144,24 +144,33 @@ class TestMethods:
             ("segment", True),
         ],
     )
-    def test_prefers_columnar(self, method, columnar):
-        assert AnalysisJob("cc1x", 100, method=method).prefers_columnar is columnar
+    def test_prefers_columnar(self, method, columnar, tmp_path):
+        """Frontier methods read a decoded trace's columns directly; only
+        the checkers iterate it, which builds the operand-tuple view."""
+        from repro.trace.io import read_trace_file, write_trace_file
+        from repro.trace.synthetic import random_trace
+
+        path = tmp_path / "trace.pgt"
+        write_trace_file(path, random_trace(seed=3, length=200, syscall_fraction=0.05))
+        trace = read_trace_file(path)
+        AnalysisJob("w", len(trace), method=method).run(trace)
+        assert (trace._operand_tuples is None) is columnar
 
     @pytest.mark.parametrize(
         "method",
         ["forward", "twopass", "vkernel", "reference", "stream", "sharded"],
     )
     def test_all_methods_agree_on_either_representation(self, method):
-        """Every method accepts both trace representations via job.run and
-        lands on the readable reference's result (modulo documented masks)."""
+        """Every method accepts a record list as well as columns via
+        job.run and lands on the readable reference's result (modulo
+        documented masks)."""
         from repro.core.reference import reference_analyze
-        from repro.trace.columnar import ColumnarTrace
         from repro.trace.synthetic import random_trace
 
         trace = random_trace(seed=3, length=400)
         expected = reference_analyze(trace, AnalysisConfig())
         job = AnalysisJob("w", len(trace), method=method)
-        for representation in (trace, ColumnarTrace.from_buffer(trace)):
+        for representation in (list(trace), trace):
             result = job.run(representation)
             assert result.critical_path_length == expected.critical_path_length
             assert result.placed_operations == expected.placed_operations

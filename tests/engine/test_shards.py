@@ -86,7 +86,7 @@ class TestShardTraceStore:
         grid = shard_grid(manifest, AnalysisConfig())
         assert grid, "trace should contain splice-eligible segments"
         job = grid[0]
-        columnar = store.columnar(job.workload, job.cap)
+        columnar = store.trace(job.workload, job.cap)
         entry = manifest.entries[int(job.workload.rsplit("-", 1)[1])]
         assert len(columnar.opclass) == entry.count
         path, digest = store.ensure_on_disk(job.workload, job.cap)
@@ -103,17 +103,17 @@ class TestShardTraceStore:
         assert spec["count"] == job.cap
         loaded = _load_trace(ref)
         assert isinstance(loaded, ColumnarTrace)
-        direct = store.columnar(job.workload, job.cap)
-        assert list(loaded.to_buffer()) == list(direct.to_buffer())
+        direct = store.trace(job.workload, job.cap)
+        assert list(loaded) == list(direct)
 
     def test_unknown_workload_and_cap_rejected(self, trace_path):
         manifest = segment_manifest(trace_path, SHARD)
         store = ShardTraceStore(trace_path, manifest)
         with pytest.raises(KeyError):
-            store.columnar("nonesuch", 1)
+            store.trace("nonesuch", 1)
         job = shard_grid(manifest, AnalysisConfig())[0]
         with pytest.raises(ValueError, match="records"):
-            store.columnar(job.workload, job.cap + 1)
+            store.trace(job.workload, job.cap + 1)
         assert store.invalidate(job.workload, job.cap) is False
 
 

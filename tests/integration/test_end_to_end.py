@@ -14,7 +14,6 @@ from repro.core.reference import reference_analyze
 from repro.core.twopass import twopass_analyze
 from repro.cpu.machine import Machine
 from repro.lang.compiler import compile_source
-from repro.trace.buffer import TraceBuffer
 from repro.verify.oracle import build_oracle_ddg
 from repro.workloads.suite import load_workload
 
@@ -90,7 +89,7 @@ class TestAnalyticKernels:
         # The explicit DDG is quadratic in window-displaced firewall
         # sources (window 32 at 8,000 records is ~22M edges), so the
         # windowed config checks it on a 2,000-record prefix.
-        prefix = TraceBuffer(trace.records[:2000], trace.segments)
+        prefix = trace.head(2000)
         for config, explicit in (
             (AnalysisConfig(), trace),
             (AnalysisConfig.no_renaming(), trace),

@@ -37,7 +37,7 @@ class TestTraceFileRoundTrip:
         path = tmp_path / "espressox.pgt"
         write_trace_file(path, trace)
         loaded = read_trace_file(path)
-        assert loaded.records == trace.records
+        assert list(loaded) == list(trace)
 
     def test_analysis_identical_after_round_trip(self, tmp_path):
         from repro.core import AnalysisConfig, analyze
@@ -59,4 +59,4 @@ class TestMachineReplayDeterminism:
         first.run(max_instructions=30_000)
         second = Machine(program)
         second.run(max_instructions=30_000)
-        assert first.trace.records == second.trace.records
+        assert list(first.trace) == list(second.trace)

@@ -122,7 +122,7 @@ def _trace_bytes(trace):
     import io
 
     stream = io.BytesIO()
-    write_trace(stream, trace.records, trace.segments, len(trace))
+    write_trace(stream, list(trace), trace.segments, len(trace))
     return stream.getvalue()
 
 

@@ -12,7 +12,7 @@ from repro.serve.service import (
     job_from_spec,
 )
 from repro.serve.state import QueueFullError
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.record import make_record
 
 
@@ -20,7 +20,7 @@ def _trace(seed=0, count=4):
     """A tiny synthetic trace whose content (and so upload id) varies
     with ``seed``."""
     records = [make_record(0, (1 + seed,), (2 + seed + i,)) for i in range(count)]
-    return TraceBuffer(records)
+    return ColumnarTrace.from_buffer(records)
 
 
 class TestUploadBudget:

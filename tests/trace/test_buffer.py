@@ -1,6 +1,6 @@
-"""Trace buffer container."""
+"""The trace container API: a ColumnarTrace as a sequence of records."""
 
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.record import make_record
 from repro.trace.segments import SegmentMap
 
@@ -11,35 +11,32 @@ def records(n):
 
 class TestBuffer:
     def test_empty(self):
-        buffer = TraceBuffer()
-        assert len(buffer) == 0
-        assert list(buffer) == []
+        trace = ColumnarTrace.from_buffer([])
+        assert len(trace) == 0
+        assert list(trace) == []
 
     def test_append_and_iterate(self):
-        buffer = TraceBuffer()
-        for record in records(3):
-            buffer.append(record)
-        assert len(buffer) == 3
-        assert [r[4] for r in buffer] == [0, 1, 2]
-
-    def test_extend(self):
-        buffer = TraceBuffer()
-        buffer.extend(records(4))
-        assert len(buffer) == 4
+        trace = ColumnarTrace.from_buffer(records(3))
+        assert len(trace) == 3
+        assert [r[4] for r in trace] == [0, 1, 2]
+        assert list(trace) == records(3)
 
     def test_indexing(self):
-        buffer = TraceBuffer(records(5))
-        assert buffer[2][4] == 2
-        assert len(buffer[1:3]) == 2
+        trace = ColumnarTrace.from_buffer(records(5))
+        assert trace[2][4] == 2
+        assert trace[-1] == records(5)[-1]
 
     def test_head_copies_prefix_and_segments(self):
         segments = SegmentMap(stack_floor=123)
-        buffer = TraceBuffer(records(10), segments)
-        head = buffer.head(4)
+        trace = ColumnarTrace.from_buffer(records(10), segments)
+        head = trace.head(4)
         assert len(head) == 4
         assert head.segments == segments
-        assert head[0] == buffer[0]
+        assert head[0] == trace[0]
+        assert list(head) == records(4)
+        assert head.digest() == ColumnarTrace.from_buffer(records(4), segments).digest()
 
     def test_head_larger_than_buffer(self):
-        buffer = TraceBuffer(records(2))
-        assert len(buffer.head(10)) == 2
+        trace = ColumnarTrace.from_buffer(records(2))
+        assert len(trace.head(10)) == 2
+        assert list(trace.head(10)) == records(2)

@@ -16,7 +16,6 @@ from repro.trace.chunked import (
     manifest_path,
     segment_manifest,
 )
-from repro.trace.buffer import TraceBuffer
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import TraceFormatError, read_trace_digest, write_trace_file
 from repro.trace.synthetic import TraceBuilder, random_trace
@@ -71,7 +70,7 @@ class TestManifest:
         manifest = build_manifest(trace_path, shard_size=64)
         entry = manifest.entries[1]
         standalone = str(tmp_path / "seg.pgt2")
-        sub = TraceBuffer(
+        sub = ColumnarTrace.from_buffer(
             list(trace)[entry.start : entry.start + entry.count], trace.segments
         )
         write_trace_file(standalone, sub)
@@ -122,7 +121,7 @@ class TestDecode:
         manifest = build_manifest(trace_path, shard_size=64)
         records = []
         for entry in manifest.entries:
-            records.extend(decode_segment(trace_path, manifest, entry.index).to_buffer())
+            records.extend(decode_segment(trace_path, manifest, entry.index))
         assert records == list(trace)
 
     def test_prefix_is_records_through_first_syscall(self, trace_path, trace):
@@ -131,7 +130,7 @@ class TestDecode:
         prefix = decode_prefix(trace_path, manifest, entry.index)
         assert len(prefix.opclass) == entry.prefix_count
         assert prefix.opclass[-1] == _SYSCALL
-        assert list(prefix.to_buffer()) == list(trace)[entry.start : entry.first_syscall + 1]
+        assert list(prefix) == list(trace)[entry.start : entry.first_syscall + 1]
 
     def test_prefix_requires_a_syscall(self, tmp_path):
         path = str(tmp_path / "nosys.pgt2")
@@ -173,7 +172,7 @@ class TestIterChunks:
         for chunk in iter_chunks(trace_path, chunk_records):
             assert isinstance(chunk, ColumnarTrace)
             assert len(chunk.opclass) <= chunk_records
-            records.extend(chunk.to_buffer())
+            records.extend(chunk)
         assert records == list(trace)
 
     def test_corrupted_payload_raises_before_last_chunk(self, trace_path):

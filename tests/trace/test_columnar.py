@@ -2,44 +2,55 @@
 
 import pytest
 
+from repro.cpu.machine import Machine
+from repro.isa.locations import MEM_BASE
 from repro.isa.opclasses import OpClass
-from repro.trace.buffer import TraceBuffer
 from repro.trace.columnar import ColumnarTrace, SharedTraceError
-from repro.trace.io import write_trace_file
+from repro.trace.io import digest_records, read_trace_file, write_trace_file
 from repro.trace.record import FLAG_CONDITIONAL
 from repro.trace.segments import SegmentMap
 from repro.trace.synthetic import TraceBuilder, random_trace
+from repro.workloads.suite import load_workload
 
 
 @pytest.fixture(scope="module")
-def buffer():
-    return random_trace(seed=7, length=500, memory_words=32, syscall_fraction=0.02)
+def records():
+    """The records of a random trace, as a plain list of tuples."""
+    return list(random_trace(seed=7, length=500, memory_words=32, syscall_fraction=0.02))
 
 
 @pytest.fixture(scope="module")
-def columnar(buffer):
-    return ColumnarTrace.from_buffer(buffer)
+def columnar(records):
+    return ColumnarTrace.from_buffer(records)
 
 
 class TestConstruction:
-    def test_from_buffer_reproduces_every_record(self, buffer, columnar):
-        assert len(columnar) == len(buffer)
-        assert list(columnar) == list(buffer.records)
+    def test_from_buffer_reproduces_every_record(self, records, columnar):
+        assert len(columnar) == len(records)
+        assert list(columnar) == records
 
-    def test_getitem_matches_records(self, buffer, columnar):
-        for index in (0, 1, len(buffer) // 2, len(buffer) - 1):
-            assert columnar[index] == buffer.records[index]
-        assert columnar[-1] == buffer.records[-1]
+    def test_getitem_matches_records(self, records, columnar):
+        for index in (0, 1, len(records) // 2, len(records) - 1):
+            assert columnar[index] == records[index]
+        assert columnar[-1] == records[-1]
 
-    def test_from_file_matches_from_buffer(self, buffer, tmp_path):
+    def test_from_file_matches_from_buffer(self, records, columnar, tmp_path):
         path = tmp_path / "trace.pgt"
-        write_trace_file(path, buffer)
+        write_trace_file(path, columnar)
         decoded = ColumnarTrace.from_file(path)
-        assert list(decoded) == list(buffer.records)
-        assert decoded.segments == buffer.segments
+        assert list(decoded) == records
+        assert decoded.segments == columnar.segments
+
+    def test_from_buffer_returns_columns_unchanged(self, columnar):
+        assert ColumnarTrace.from_buffer(columnar) is columnar
+
+    def test_from_buffer_flattens_any_iterable(self, records, columnar):
+        flattened = ColumnarTrace.from_buffer(iter(records))
+        assert list(flattened) == records
+        assert flattened.digest() == columnar.digest()
 
     def test_empty_trace(self):
-        empty = ColumnarTrace.from_buffer(TraceBuilder().build())
+        empty = TraceBuilder().build()
         assert len(empty) == 0
         assert list(empty) == []
         assert empty.census() == (0, 0)
@@ -48,40 +59,23 @@ class TestConstruction:
         segments = SegmentMap(data_base=16, stack_floor=48, stack_top=64)
         builder = TraceBuilder(segments)
         builder.ialu(1)
-        trace = ColumnarTrace.from_buffer(builder.build())
+        trace = builder.build()
         assert trace.segments == segments
 
 
 class TestDigest:
-    def test_digest_matches_buffer(self, buffer, columnar):
-        assert columnar.digest() == buffer.digest()
+    def test_digest_matches_buffer(self, records, columnar):
+        assert columnar.digest() == digest_records(columnar.segments, len(records), records)
 
-    def test_digest_matches_file_header(self, buffer, tmp_path):
+    def test_digest_matches_file_header(self, columnar, tmp_path):
         path = tmp_path / "trace.pgt"
-        header_digest = write_trace_file(path, buffer)
+        header_digest = write_trace_file(path, columnar)
         assert ColumnarTrace.from_file(path).digest() == header_digest
 
-    def test_digest_computed_lazily_when_buffer_has_none(self, buffer):
-        fresh = TraceBuffer(list(buffer.records), buffer.segments)
-        trace = ColumnarTrace.from_buffer(fresh)
-        assert trace.digest() == buffer.digest()
-
-
-class TestToBuffer:
-    def test_round_trip(self, columnar, buffer):
-        assert columnar.to_buffer().records == buffer.records
-
-    def test_memoized(self, columnar):
-        assert columnar.to_buffer() is columnar.to_buffer()
-
-    def test_from_buffer_round_trips_for_free(self, buffer):
-        assert ColumnarTrace.from_buffer(buffer).to_buffer() is buffer
-
-    def test_decoded_trace_buffer_keeps_digest(self, buffer, tmp_path):
-        path = tmp_path / "trace.pgt"
-        write_trace_file(path, buffer)
-        decoded = ColumnarTrace.from_file(path)
-        assert decoded.to_buffer().digest() == buffer.digest()
+    def test_digest_computed_lazily_when_buffer_has_none(self, records, columnar):
+        trace = ColumnarTrace.from_buffer(list(records))
+        assert trace._digest is None
+        assert trace.digest() == columnar.digest()
 
 
 class TestCensus:
@@ -93,14 +87,14 @@ class TestCensus:
         builder.branch(1, taken=False)
         builder.jump()  # unconditional: not a conditional branch
         builder.syscall()
-        trace = ColumnarTrace.from_buffer(builder.build())
+        trace = builder.build()
         assert trace.census() == (2, 2)
 
-    def test_matches_record_scan(self, buffer, columnar):
-        syscalls = sum(1 for r in buffer.records if r[0] == int(OpClass.SYSCALL))
+    def test_matches_record_scan(self, records, columnar):
+        syscalls = sum(1 for r in records if r[0] == int(OpClass.SYSCALL))
         branches = sum(
             1
-            for r in buffer.records
+            for r in records
             if r[0] == int(OpClass.BRANCH) and r[3] & FLAG_CONDITIONAL
         )
         assert columnar.census() == (syscalls, branches)
@@ -113,27 +107,31 @@ class TestCensus:
 
 
 class TestOperandTuples:
-    def test_match_records(self, buffer, columnar):
+    def test_match_records(self, records, columnar):
         srcs, dests = columnar.operand_tuples()
-        assert srcs == [record[1] for record in buffer.records]
-        assert dests == [record[2] for record in buffer.records]
+        assert srcs == [record[1] for record in records]
+        assert dests == [record[2] for record in records]
 
-    def test_reuse_the_buffer_tuples(self, buffer, columnar):
-        srcs, _ = columnar.operand_tuples()
-        assert all(mine is theirs[1] for mine, theirs in zip(srcs, buffer.records))
+    def test_equal_tuples_are_interned(self, columnar):
+        srcs, dests = columnar.operand_tuples()
+        for tuples in (srcs, dests):
+            first = {}
+            for operands in tuples:
+                assert first.setdefault(operands, operands) is operands
+        assert all(record[1] is operands for record, operands in zip(columnar, srcs))
 
-    def test_bufferless_trace_builds_equal_tuples(self, buffer, tmp_path):
+    def test_bufferless_trace_builds_equal_tuples(self, columnar, tmp_path):
         path = tmp_path / "trace.pgt"
-        write_trace_file(path, buffer)
+        write_trace_file(path, columnar)
         decoded = ColumnarTrace.from_file(path)
-        assert decoded.operand_tuples() == ColumnarTrace.from_buffer(buffer).operand_tuples()
+        assert decoded.operand_tuples() == columnar.operand_tuples()
         assert decoded.operand_tuples()[0] is decoded.operand_tuples()[0]
 
     @pytest.mark.parametrize("start,end", [(0, 0), (0, 1), (3, 250), (499, 500)])
-    def test_ranges_match_the_whole(self, buffer, columnar, tmp_path, start, end):
+    def test_ranges_match_the_whole(self, columnar, tmp_path, start, end):
         path = tmp_path / "trace.pgt"
-        write_trace_file(path, buffer)
-        decoded = ColumnarTrace.from_file(path)  # no buffer, no memo
+        write_trace_file(path, columnar)
+        decoded = ColumnarTrace.from_file(path)  # nothing memoized yet
         srcs, dests = columnar.operand_tuples()
         expected = (srcs[start:end], dests[start:end])
         assert columnar.operand_tuples(start, end) == expected
@@ -144,20 +142,57 @@ class TestOperandTuples:
         builder = TraceBuilder()
         builder.op(OpClass.IALU, dests=(1, 2, 3), srcs=(4, 5, 6, 7))
         builder.op(OpClass.IALU, dests=(8,), srcs=())
-        built = ColumnarTrace.from_buffer(builder.build())
-        bufferless = ColumnarTrace(*built._columns(), built.segments)
-        assert bufferless.operand_tuples() == ([(4, 5, 6, 7), ()], [(1, 2, 3), (8,)])
+        assert builder.build().operand_tuples() == ([(4, 5, 6, 7), ()], [(1, 2, 3), (8,)])
+
+
+class TestSuiteTraceMemory:
+    """A decoded suite trace shares operand tuples the way the simulator's
+    records did, which keeps the tuple view no larger than the record list
+    the columns replaced."""
+
+    @pytest.fixture(scope="class")
+    def emitted(self):
+        workload = load_workload("xlispx")
+        machine = Machine(
+            workload.program(),
+            int_inputs=list(workload.int_inputs),
+            float_inputs=list(workload.float_inputs),
+        )
+        machine.run(max_instructions=5000)
+        return machine
+
+    def test_static_register_instruction_shares_its_source_tuple(self, emitted, tmp_path):
+        path = tmp_path / "xlispx.pgt"
+        write_trace_file(path, emitted.trace)
+        decoded = list(read_trace_file(path))
+        assert decoded == emitted.records
+        # The simulator appends one static tuple per register-register
+        # instruction; find two dynamic instances of one.
+        first_seen = {}
+        pair = None
+        for index, record in enumerate(emitted.records):
+            srcs = record[1]
+            if len(srcs) != 2 or any(src >= MEM_BASE for src in srcs):
+                continue
+            earlier = first_seen.setdefault(id(record), index)
+            if earlier != index:
+                pair = (earlier, index)
+                break
+        assert pair is not None
+        first, second = pair
+        assert emitted.records[first] is emitted.records[second]
+        assert decoded[first][1] is decoded[second][1]
 
 
 class TestSharedMemory:
-    def test_round_trip(self, buffer, columnar):
+    def test_round_trip(self, records, columnar):
         shm = columnar.to_shared_memory()
         try:
             attached = ColumnarTrace.from_shared_memory(shm.name)
             try:
-                assert list(attached) == list(buffer.records)
-                assert attached.digest() == buffer.digest()
-                assert attached.segments == buffer.segments
+                assert list(attached) == records
+                assert attached.digest() == columnar.digest()
+                assert attached.segments == columnar.segments
             finally:
                 attached.close()
         finally:
@@ -218,7 +253,7 @@ class TestSharedMemory:
             shm.unlink()
 
     def test_empty_trace_round_trips(self):
-        empty = ColumnarTrace.from_buffer(TraceBuilder().build())
+        empty = TraceBuilder().build()
         shm = empty.to_shared_memory()
         try:
             attached = ColumnarTrace.from_shared_memory(shm.name)

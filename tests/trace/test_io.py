@@ -6,17 +6,15 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import (
     FORMAT_VERSION,
     LEGACY_MAGIC,
     MAGIC,
     TraceFormatError,
-    iter_trace,
     read_header,
     read_trace_digest,
     read_trace_file,
-    trace_digest,
     write_trace,
     write_trace_file,
 )
@@ -31,17 +29,18 @@ class TestRoundTrip:
         path = tmp_path / "t.pgt"
         write_trace_file(path, trace)
         loaded = read_trace_file(path)
-        assert loaded.records == trace.records
+        assert isinstance(loaded, ColumnarTrace)
+        assert list(loaded) == list(trace)
         assert loaded.segments == trace.segments
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.pgt"
-        write_trace_file(path, TraceBuffer())
-        assert read_trace_file(path).records == []
+        write_trace_file(path, ColumnarTrace.from_buffer([]))
+        assert list(read_trace_file(path)) == []
 
     def test_custom_segments_preserved(self, tmp_path):
         segments = SegmentMap(data_base=16, stack_floor=512, stack_top=1024)
-        trace = TraceBuffer([make_record(0, (1,), (2,))], segments)
+        trace = ColumnarTrace.from_buffer([make_record(0, (1,), (2,))], segments)
         path = tmp_path / "seg.pgt"
         write_trace_file(path, trace)
         assert read_trace_file(path).segments == segments
@@ -50,15 +49,13 @@ class TestRoundTrip:
     @given(seed=st.integers(0, 10_000), length=st.integers(0, 150))
     def test_round_trip_property(self, seed, length, tmp_path_factory):
         trace = random_trace(seed=seed, length=length)
-        stream = io.BytesIO()
-        write_trace(stream, trace.records, trace.segments, len(trace))
-        stream.seek(0)
-        segments, count, digest = read_header(stream)
-        records = list(iter_trace(stream))
-        assert count == length
-        assert records == trace.records
-        assert segments == trace.segments
-        assert digest == trace_digest(trace)
+        path = tmp_path_factory.mktemp("prop") / "t.pgt"
+        write_trace_file(path, trace)
+        loaded = read_trace_file(path)
+        assert len(loaded) == length
+        assert list(loaded) == list(trace)
+        assert loaded.segments == trace.segments
+        assert loaded.digest() == trace.digest()
 
 
 class TestDigest:
@@ -71,19 +68,17 @@ class TestDigest:
     def test_digest_distinguishes_content(self):
         base = random_trace(seed=8, length=60)
         other = random_trace(seed=9, length=60)
-        assert trace_digest(base) != trace_digest(other)
+        assert base.digest() != other.digest()
 
     def test_digest_covers_segments(self):
-        records = random_trace(seed=10, length=40).records
-        one = TraceBuffer(records, SegmentMap(data_base=16, stack_floor=512, stack_top=1024))
-        two = TraceBuffer(records, SegmentMap(data_base=32, stack_floor=512, stack_top=1024))
-        assert trace_digest(one) != trace_digest(two)
-
-    def test_buffer_digest_invalidated_on_append(self):
-        trace = random_trace(seed=11, length=30)
-        before = trace.digest()
-        trace.append(make_record(0, (1,), (2,)))
-        assert trace.digest() != before
+        records = list(random_trace(seed=10, length=40))
+        one = ColumnarTrace.from_buffer(
+            records, SegmentMap(data_base=16, stack_floor=512, stack_top=1024)
+        )
+        two = ColumnarTrace.from_buffer(
+            records, SegmentMap(data_base=32, stack_floor=512, stack_top=1024)
+        )
+        assert one.digest() != two.digest()
 
 
 class TestErrors:
@@ -132,4 +127,4 @@ class TestErrors:
     def test_count_mismatch_on_write(self):
         trace = random_trace(seed=3, length=5)
         with pytest.raises(TraceFormatError, match="count mismatch"):
-            write_trace(io.BytesIO(), trace.records, trace.segments, 7)
+            write_trace(io.BytesIO(), trace, trace.segments, 7)

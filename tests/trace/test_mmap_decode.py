@@ -69,7 +69,7 @@ class TestScanColumnsFast:
 
         trace = random_trace(seed=6, length=250, syscall_fraction=0.05)
         stream = stdio.BytesIO()
-        trace_io.write_trace(stream, trace.records, trace.segments, len(trace))
+        trace_io.write_trace(stream, list(trace), trace.segments, len(trace))
         payload = stream.getvalue()[trace_io._HEADER.size :]
         fast = trace_io.scan_columns_fast(payload, len(trace))
         slow = trace_io.scan_columns(payload, len(trace))
@@ -82,7 +82,7 @@ class TestScanColumnsFast:
             pytest.skip("NumPy is not installed")
         trace = random_trace(seed=7, length=120, syscall_fraction=0.05)
         stream = stdio.BytesIO()
-        trace_io.write_trace(stream, trace.records, trace.segments, len(trace))
+        trace_io.write_trace(stream, list(trace), trace.segments, len(trace))
         payload = stream.getvalue()[trace_io._HEADER.size :]
         heads = trace_io.walk_record_heads(payload, len(trace))
         assert heads[0] == 0 and heads[-1] == len(payload)

@@ -3,7 +3,7 @@
 import random
 
 from repro.isa.opclasses import OpClass
-from repro.trace.buffer import TraceBuffer
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.record import FLAG_CONDITIONAL
 from repro.verify.generate import (
     MAX_CASE_RECORDS,
@@ -189,4 +189,4 @@ class TestShrink:
 
     def test_result_type(self):
         trace = generate_trace(random.Random(2))
-        assert isinstance(shrink_trace(trace, lambda c: True), TraceBuffer)
+        assert isinstance(shrink_trace(trace, lambda c: True), ColumnarTrace)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.config import OPTIMISTIC, AnalysisConfig
 from repro.core.resources import ResourceModel
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.synthetic import TraceBuilder
 from repro.verify.generate import generate_case, generate_trace
 from repro.verify.harness import (
@@ -149,8 +150,9 @@ class TestGeneratedTraceStore:
         store = GeneratedTraceStore()
         trace = generate_trace(random.Random(1))
         cap = store.add("caseY", trace)
-        columnar = store.columnar("caseY", cap)
-        assert columnar.to_buffer().digest() == trace.digest()
+        columnar = store.trace("caseY", cap)
+        assert isinstance(columnar, ColumnarTrace)
+        assert columnar.digest() == trace.digest()
 
 
 class TestRunVerification:
