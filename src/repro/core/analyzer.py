@@ -60,7 +60,7 @@ def analyze(
             evaluates the same placement rule over level-frontier batches
             (:mod:`repro.core.vkernels`) and is bit-identical; it applies
             when NumPy is importable and the configuration is eligible
-            (no branch predictor, no constrained resources) — anything
+            (no window, no branch predictor, no constrained resources) — anything
             else falls back to the python frontier silently. Results never
             depend on the backend.
 

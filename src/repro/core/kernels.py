@@ -16,8 +16,10 @@ specialized by configuration instead of testing every switch per record:
 - **generic** — everything else (partial renaming, resource limits,
   branch predictors, conservative disambiguation, lifetime collection).
 
-The vectorized backend (:mod:`repro.core.vkernels`) mirrors the same
-three-way split. Every loop is cross-validated field-for-field against
+The vectorized backend (:mod:`repro.core.vkernels`) serves only
+windowless dataflow and generic configs (no predictor, no constrained
+resources); windowed configs always run the python windowed loop. Every
+loop is cross-validated field-for-field against
 :mod:`repro.core.reference` over the full configuration grid
 (``tests/core/test_kernels.py``).
 """

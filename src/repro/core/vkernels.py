@@ -1,8 +1,7 @@
 """Vectorized (NumPy) placement kernels over columnar traces.
 
-The python kernels (:mod:`repro.core.kernels`) walk records one at a
-time; at ~9 grids/s on the generic configuration that scan is the
-repo's hottest loop. This module evaluates the *same* placement rule —
+The python frontier (:mod:`repro.core.stream`) walks records one at a
+time. This module evaluates the *same* placement rule —
 ``level = max(floor-1, sources..., WAR, memory) + top`` — over whole
 level-frontier batches instead:
 
@@ -13,31 +12,28 @@ level-frontier batches instead:
    WAR edge (each read to the next write of its location), and the
    token structure (which write each read binds to) that the live-well
    dict encodes implicitly.
-2. **Batched Kahn** (:func:`_execute`): records between conservative
-   syscalls (additionally capped at the window size, so every displaced
-   ring slot is already resolved) form blocks; each block seeds its
-   floor term in one vector op (:func:`_seed_frontier_batch`) and then
-   resolves in topological *frontiers* — one vector ``maximum.at`` per
-   frontier, with a scalar cascade for narrow frontiers (long dependence
-   chains) where vector dispatch overhead would dominate. Conservative
-   syscalls are single scalar steps between blocks.
+2. **Batched Kahn** (:func:`_execute`): the records between two
+   conservative syscalls form a block; each block seeds its floor term
+   in one vector op (:func:`_seed_frontier_batch`) and then resolves in
+   topological *frontiers* — one vector ``maximum.at`` per frontier,
+   with a scalar cascade for narrow frontiers (long dependence chains)
+   where vector dispatch overhead would dominate. Conservative syscalls
+   are single scalar steps between blocks.
 3. **Token stats**: uses, deepest-use, lifetimes, and the exported
    live well all fall out of per-token ``bincount``/``maximum.at``
    reductions over the same index.
 
-Results are bit-identical to the python kernels for every *eligible*
-configuration — all renaming combinations, windows, both syscall
-policies, conservative memory disambiguation, lifetimes, profiles, and
-mid-stream :func:`advance_batch` continuation. Ineligible (and handed
-back to the python loops): branch predictors and constrained resource
-models, whose greedy per-record state has no batched formulation.
-NumPy itself is optional — with it absent :func:`available` is False
-and every caller falls back to the python kernels.
-
-Tiny windows are a *performance* caveat, not a correctness one: a
-window of ``w`` caps blocks at ``w`` records, so ``w=1`` degenerates to
-per-record python dispatch. The backend stays exact there; it is simply
-not faster.
+Results are bit-identical to the python frontier for every *eligible*
+configuration — all renaming combinations, both syscall policies,
+conservative memory disambiguation, lifetimes, profiles, and mid-stream
+:func:`advance_batch` continuation. Ineligible (and handed back to the
+python loops): instruction windows, branch predictors and constrained
+resource models. Predictors and resources keep greedy per-record state
+with no batched formulation; a window's ring raises the floor record by
+record, and the python windowed loop is faster than any blocked
+imitation of it (DESIGN.md section 16). NumPy itself is optional — with
+it absent :func:`available` is False and every caller falls back to the
+python frontier.
 """
 
 from __future__ import annotations
@@ -94,16 +90,19 @@ def available() -> bool:
 
 
 def eligible(config: AnalysisConfig) -> bool:
-    """True when ``config`` has an exact vectorized formulation.
+    """True when the vectorized backend runs ``config``.
 
     Branch predictors and constrained resource models keep greedy
     per-record state (pattern tables, absolute-level occupancy) that a
-    batched evaluation cannot reproduce; everything else — renaming
-    combinations, windows, syscall policies, conservative memory
-    disambiguation, lifetimes, profiles — is exact.
+    batched evaluation cannot reproduce, and windowed configs run faster
+    through the python windowed loop; everything else — renaming
+    combinations, syscall policies, conservative memory disambiguation,
+    lifetimes, profiles — is exact.
     """
-    return config.branch_predictor is None and (
-        config.resources is None or config.resources.unconstrained
+    return (
+        config.window_size is None
+        and config.branch_predictor is None
+        and (config.resources is None or config.resources.unconstrained)
     )
 
 
@@ -149,9 +148,7 @@ def _empty_index(n, ops, ordinary, syscall, conservative, flags):
         "base_rec": z, "base_grp": z,
         "nwrites": 0, "groups": 0,
         "tok_rec": z, "tok_last": zb,
-        "g_loc": z, "g_loc_list": [],
-        "g_last_tok": z, "g_first_w_rec": z,
-        "g_first_rec": z, "g_first_is_read": zb,
+        "g_loc": z, "g_last_tok": z, "g_first_w_rec": z, "g_first_rec": z,
         "memrec": z, "is_store": zb,
     }
 
@@ -267,7 +264,6 @@ def _build_index(trace, conservative: bool, start: int, end: int) -> dict:
     )
     g_loc = loc_s[grp_first]
     g_first_rec = rec_srt[grp_first]
-    g_first_is_read = ~isw_s[grp_first]
 
     memmask = (ops == _LOAD) | (ops == _STORE)
     memrec = _np.nonzero(memmask)[0]
@@ -291,9 +287,8 @@ def _build_index(trace, conservative: bool, start: int, end: int) -> dict:
         "base_rec": base_rec, "base_grp": base_grp,
         "nwrites": nwrites, "groups": G,
         "tok_rec": tok_rec, "tok_last": tok_last,
-        "g_loc": g_loc, "g_loc_list": g_loc.tolist(),
-        "g_last_tok": g_last_tok, "g_first_w_rec": g_first_w_rec,
-        "g_first_rec": g_first_rec, "g_first_is_read": g_first_is_read,
+        "g_loc": g_loc, "g_last_tok": g_last_tok,
+        "g_first_w_rec": g_first_w_rec, "g_first_rec": g_first_rec,
         "memrec": memrec, "is_store": ops[memrec] == _STORE,
     }
 
@@ -360,7 +355,6 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
     lat = _np.asarray(config.latency.as_list(), dtype=_np.int64)
     top = lat[_np.minimum(ops, len(lat) - 1)] if n else lat[:0]
     sys_top = int(lat[_SYSCALL])
-    window = config.window_size
     rename_regs = config.rename_registers
     rename_stack = config.rename_stack
     rename_data = config.rename_data
@@ -382,23 +376,15 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
         in_mem_store = in_mem_acc = NEVER_USED
         well = None
 
-    # Levels, with the window's displacement slots prepended: record r
-    # lives at lvlx[W + r], so the slot its placement displaces (record
-    # r - window) is lvlx[r] — one array serves as ring, working levels,
-    # and exported ring, with no copying.
-    W = window or 0
-    lvlx = _np.full(W + n, _NEG, dtype=_np.int64)
-    if W and export and fr.ring is not None:
-        ordered = fr.ring[fr.ring_pos :] + fr.ring[: fr.ring_pos]
-        lvlx[:W] = [_NEG if v is None else v for v in ordered]
-    lvl = lvlx[W:]
+    lvl = _np.full(n, _NEG, dtype=_np.int64)
     C = _np.full(n, _NEG, dtype=_np.int64)
 
     # Incoming well entries, one slot per in-batch location group.
+    g_loc_list = index["g_loc"].tolist() if export else None
     g_in = None
     if export and well and G:
         get = well.get
-        entries = [get(loc) for loc in index["g_loc_list"]]
+        entries = [get(loc) for loc in g_loc_list]
         g_in = _np.array([e is not None for e in entries], dtype=bool)
         if not g_in.any():
             g_in = None
@@ -523,22 +509,14 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
                 _np.maximum.at(C, fw[cand], g_in_deep[cand] + 1)
 
     # -- block plan ----------------------------------------------------------
-    # Blocks are the records between conservative syscalls, additionally
-    # capped at the window size so every displaced slot a block reads was
-    # placed by an earlier block (or carried in).
+    # Span k is [los[k], cuts[k]): the records between two conservative
+    # syscalls, a block when non-empty, followed by the syscall at
+    # cuts[k] when cuts[k] < n.
     sys_list = index["syscall_recs"].tolist() if conservative else []
-    blocks = []
-    prev = 0
-    for s in sys_list + [n]:
-        lo = prev
-        while lo < s:
-            hi = min(lo + W, s) if W else s
-            blocks.append((lo, hi))
-            lo = hi
-        prev = s + 1
-
-    bs = _np.asarray([b[0] for b in blocks], dtype=_np.int64)
-    nblocks = len(blocks)
+    cuts = sys_list + [n]
+    los = [0] + [s + 1 for s in sys_list]
+    bs = _np.asarray([lo for lo, hi in zip(los, cuts) if lo < hi], dtype=_np.int64)
+    nblocks = len(bs)
     if len(e_src) and nblocks:
         eb_src = _np.searchsorted(bs, e_src, side="right") - 1
         eb_dst = _np.searchsorted(bs, e_dst, side="right") - 1
@@ -582,115 +560,83 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
 
     floor_m1 = in_floor_m1
     deepest = in_deepest
-    si = 0
-    nsys = len(sys_list)
-    for b in range(nblocks):
-        lo, hi = blocks[b]
-        while si < nsys and sys_list[si] < lo:
-            s = sys_list[si]
-            si += 1
-            if W:
-                displaced = int(lvlx[s])
-                if displaced > floor_m1:
-                    floor_m1 = displaced
+    b = 0
+    for lo, hi in zip(los, cuts):
+        if lo < hi:
+            if floorv is not None:
+                floorv[lo:hi] = floor_m1
+            recs = arange_n[lo:hi][ordinary[lo:hi]]
+            if len(recs):
+                seed(C, recs, floor_m1 + top[recs])
+                a, b2 = int(c_bounds[b]), int(c_bounds[b + 1])
+                if b2 > a:
+                    _np.maximum.at(C, c_dst[a:b2], lvl[c_src[a:b2]] + c_w[a:b2])
+                frontier = recs[indeg[recs] == 0]
+                narrow = None
+                while True:
+                    if narrow is None and len(frontier) <= NARROW_FRONTIER:
+                        narrow = frontier.tolist()
+                    if narrow is not None:
+                        # Scalar cascade over memoryviews until it widens.
+                        while narrow and len(narrow) <= NARROW_FRONTIER:
+                            nxt = []
+                            for r in narrow:
+                                m = mv_C[r]
+                                mv_lvl[r] = m
+                                for j in range(mv_ptr[r], mv_ptr[r + 1]):
+                                    d = mv_dst[j]
+                                    v = m + mv_w[j]
+                                    if v > mv_C[d]:
+                                        mv_C[d] = v
+                                    deg = mv_indeg[d] - 1
+                                    mv_indeg[d] = deg
+                                    if not deg:
+                                        nxt.append(d)
+                            narrow = nxt
+                        if not narrow:
+                            break
+                        frontier = _np.asarray(narrow, dtype=_np.int64)
+                        narrow = None
+                    lvl[frontier] = C[frontier]
+                    starts = indptr[frontier]
+                    cnt = indptr[frontier + 1] - starts
+                    tot = int(cnt.sum())
+                    if not tot:
+                        break
+                    offs = _np.repeat(
+                        starts - _np.concatenate(([0], _np.cumsum(cnt[:-1]))), cnt
+                    )
+                    flat = offs + _np.arange(tot)
+                    dsts = i_dst[flat]
+                    _np.maximum.at(C, dsts, C[i_src[flat]] + i_w[flat])
+                    unique, counts = _np.unique(dsts, return_counts=True)
+                    indeg[unique] -= counts
+                    frontier = unique[indeg[unique] == 0]
+                    if not len(frontier):
+                        break
+                block_max = int(lvl[recs].max())
+                if block_max > deepest:
+                    deepest = block_max
+            b += 1
+        if hi < n:
+            # The conservative syscall at ``hi``: a firewall one level
+            # past everything placed so far.
             level = deepest + 1
             low = floor_m1 + sys_top
             if low > level:
                 level = low
-            lvl[s] = level
+            lvl[hi] = level
             if floorv is not None:
-                floorv[s] = floor_m1
+                floorv[hi] = floor_m1
             deepest = level
             floor_m1 = level
-        if W:
-            fl = _np.maximum(_np.maximum.accumulate(lvlx[lo:hi]), floor_m1)
-            if floorv is not None:
-                floorv[lo:hi] = fl
-            next_floor_m1 = int(fl[-1])
-        else:
-            fl = None
-            if floorv is not None:
-                floorv[lo:hi] = floor_m1
-        recs = arange_n[lo:hi][ordinary[lo:hi]]
-        if len(recs):
-            if fl is not None:
-                seed(C, recs, fl[recs - lo] + top[recs])
-            else:
-                seed(C, recs, floor_m1 + top[recs])
-            a, b2 = int(c_bounds[b]), int(c_bounds[b + 1])
-            if b2 > a:
-                _np.maximum.at(C, c_dst[a:b2], lvl[c_src[a:b2]] + c_w[a:b2])
-            frontier = recs[indeg[recs] == 0]
-            narrow = None
-            while True:
-                if narrow is None and len(frontier) <= NARROW_FRONTIER:
-                    narrow = frontier.tolist()
-                if narrow is not None:
-                    # Scalar cascade over memoryviews until it widens.
-                    while narrow and len(narrow) <= NARROW_FRONTIER:
-                        nxt = []
-                        for r in narrow:
-                            m = mv_C[r]
-                            mv_lvl[r] = m
-                            for j in range(mv_ptr[r], mv_ptr[r + 1]):
-                                d = mv_dst[j]
-                                v = m + mv_w[j]
-                                if v > mv_C[d]:
-                                    mv_C[d] = v
-                                deg = mv_indeg[d] - 1
-                                mv_indeg[d] = deg
-                                if not deg:
-                                    nxt.append(d)
-                        narrow = nxt
-                    if not narrow:
-                        break
-                    frontier = _np.asarray(narrow, dtype=_np.int64)
-                    narrow = None
-                lvl[frontier] = C[frontier]
-                starts = indptr[frontier]
-                cnt = indptr[frontier + 1] - starts
-                tot = int(cnt.sum())
-                if not tot:
-                    break
-                offs = _np.repeat(
-                    starts - _np.concatenate(([0], _np.cumsum(cnt[:-1]))), cnt
-                )
-                flat = offs + _np.arange(tot)
-                dsts = i_dst[flat]
-                _np.maximum.at(C, dsts, C[i_src[flat]] + i_w[flat])
-                unique, counts = _np.unique(dsts, return_counts=True)
-                indeg[unique] -= counts
-                frontier = unique[indeg[unique] == 0]
-                if not len(frontier):
-                    break
-            block_max = int(lvl[recs].max())
-            if block_max > deepest:
-                deepest = block_max
-        if W:
-            floor_m1 = next_floor_m1
-    while si < nsys:
-        s = sys_list[si]
-        si += 1
-        if W:
-            displaced = int(lvlx[s])
-            if displaced > floor_m1:
-                floor_m1 = displaced
-        level = deepest + 1
-        low = floor_m1 + sys_top
-        if low > level:
-            level = low
-        lvl[s] = level
-        if floorv is not None:
-            floorv[s] = floor_m1
-        deepest = level
-        floor_m1 = level
 
     # -- stats ---------------------------------------------------------------
     placed_mask = index["placed_mask"]
     placed = int(placed_mask.sum())
     plv = lvl[placed_mask]
     profile = _profile_counts(plv) if config.collect_profile else None
-    firewalls = nsys if conservative else 0
+    firewalls = len(sys_list)
 
     # Token reductions: per-write uses/deepest-use, plus merged base
     # tokens (incoming or first-touch entries and their pre-first-write
@@ -792,7 +738,7 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
             else:
                 out_pre = ~has_w
             for loc, level, deep, use, pre in zip(
-                index["g_loc_list"],
+                g_loc_list,
                 out_level.tolist(),
                 out_deep.tolist(),
                 out_uses.tolist(),
@@ -800,14 +746,9 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
             ):
                 well[loc] = [level, deep, use, pre]
         else:
-            for loc, level in zip(index["g_loc_list"], out_level.tolist()):
+            for loc, level in zip(g_loc_list, out_level.tolist()):
                 well[loc] = level
 
-    if W:
-        fr.ring = [
-            None if v == _NEG else v for v in lvlx[n : n + W].tolist()
-        ]
-        fr.ring_pos = 0
     fr.floor = floor_m1 + 1
     fr.deepest = deepest
     fr.records += n
@@ -855,7 +796,8 @@ def analyze_vectorized(
     if not eligible(config):
         raise ValueError(
             "config is not eligible for the vectorized backend "
-            "(branch predictors and constrained resources are sequential)"
+            "(windows, branch predictors and constrained resources run "
+            "the python frontier)"
         )
     if segments is None:
         segments = getattr(trace, "segments", DEFAULT_SEGMENTS)

@@ -76,9 +76,6 @@ class ExperimentEngine:
         jobs: worker process count; 1 = in-process serial execution.
         result_cache: optional :class:`ResultCache` (or a directory path).
         timeout: optional per-job wall-clock limit in seconds.
-        shared_memory: share each distinct columnar trace with workers via
-            one ``multiprocessing.shared_memory`` block (default); when
-            off, workers decode traces from the on-disk cache instead.
         retries: transient-failure retries per job (0 = fail on first
             error); retried with exponential backoff + deterministic
             jitter, then quarantined.
@@ -107,7 +104,6 @@ class ExperimentEngine:
         timeout: Optional[float] = None,
         progress: Optional[ProgressListener] = None,
         start_method: Optional[str] = None,
-        shared_memory: bool = True,
         retries: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
         journal_dir: Optional[str] = None,
@@ -135,7 +131,6 @@ class ExperimentEngine:
         self.jobs = jobs
         self.result_cache = result_cache
         self.timeout = timeout
-        self.shared_memory = shared_memory
         self.retry_policy = retry_policy or RetryPolicy(max_attempts=retries + 1)
         self.fail_fast = fail_fast
         self.journal: Optional[RunJournal] = None
@@ -258,7 +253,6 @@ class ExperimentEngine:
             timeout=self.timeout,
             progress=fanout(self.telemetry, self._progress, metrics_listener()),
             start_method=self._start_method,
-            shared_memory=self.shared_memory,
             retry=self.retry_policy,
             journal=self.journal,
             fail_fast=self.fail_fast,
@@ -306,17 +300,3 @@ class ExperimentEngine:
         if not outcome.ok:
             raise JobFailedError([outcome])
         return outcome.result
-
-    def analyze_streamed(
-        self,
-        path,
-        config: Optional[AnalysisConfig] = None,
-        shard_size: Optional[int] = None,
-    ) -> AnalysisResult:
-        """Analyze a PGT2 trace *file* with bounded memory, sharding the
-        work across this engine's worker pool when the configuration
-        permits (see :mod:`repro.engine.shards`); identical results to
-        loading the whole trace and running :func:`repro.core.analyzer.analyze`."""
-        from repro.engine.shards import shard_analyze_file
-
-        return shard_analyze_file(path, config, shard_size=shard_size, engine=self)

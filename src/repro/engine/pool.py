@@ -444,7 +444,6 @@ def execute_jobs(
     timeout: Optional[float] = None,
     progress: Optional[ProgressListener] = None,
     start_method: Optional[str] = None,
-    shared_memory: bool = True,
     on_outcome: Optional[OutcomeListener] = None,
     max_respawns: Optional[int] = None,
     shm_manifest=None,
@@ -454,10 +453,10 @@ def execute_jobs(
 
     Results come back in submission order regardless of completion order.
     ``njobs == 1`` (or a single-job grid) runs in-process via
-    :func:`execute_serial`. With ``shared_memory`` (the default) each
-    distinct input trace is packed once into a shared-memory columnar
-    block that workers attach zero-copy; disabling it (or any failure to
-    create a block) falls back to workers decoding the ``.pgt`` files.
+    :func:`execute_serial`. Each distinct input trace is packed once into
+    a shared-memory columnar block that workers attach zero-copy; any
+    failure to create a block falls back to workers decoding the ``.pgt``
+    files.
 
     ``on_outcome`` is invoked with each outcome as it lands (journaling
     hook); ``max_respawns`` bounds replacement-worker spawns before the
@@ -549,19 +548,18 @@ def execute_jobs(
             if hook_ref is not None:
                 trace_refs[trace_key] = (hook_ref[0], hook_ref[1])
                 continue
-        if shared_memory:
-            try:
-                with span("shm_pack"):
-                    block = store.trace(
-                        job.workload, job.cap, optimize=job.optimize
-                    ).to_shared_memory()
-            except Exception:  # noqa: BLE001 - shm is an optimization, not a requirement
-                pass
-            else:
-                shm_blocks.append(block)
-                if shm_manifest is not None:
-                    shm_manifest.register(block.name)
-                ref = ("shm", block.name)
+        try:
+            with span("shm_pack"):
+                block = store.trace(
+                    job.workload, job.cap, optimize=job.optimize
+                ).to_shared_memory()
+        except Exception:  # noqa: BLE001 - shm is an optimization, not a requirement
+            pass
+        else:
+            shm_blocks.append(block)
+            if shm_manifest is not None:
+                shm_manifest.register(block.name)
+            ref = ("shm", block.name)
         trace_refs[trace_key] = ref
     enqueued_at = time.time() if metrics else None
     tasks: List[Tuple[int, dict, Tuple[str, str], Optional[float]]] = [

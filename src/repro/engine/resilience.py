@@ -507,7 +507,6 @@ def execute_jobs_resilient(
     timeout: Optional[float] = None,
     progress: Optional[ProgressListener] = None,
     start_method: Optional[str] = None,
-    shared_memory: bool = True,
     retry: Optional[RetryPolicy] = None,
     journal: Optional[RunJournal] = None,
     fail_fast: bool = False,
@@ -658,7 +657,6 @@ def execute_jobs_resilient(
                     timeout=timeout,
                     progress=remap_event,
                     start_method=start_method,
-                    shared_memory=shared_memory,
                     on_outcome=land,
                     max_respawns=max(4, 2 * worker_count),
                     shm_manifest=manifest,

@@ -330,8 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="narrow the per-case plan: 'shard' runs only the "
         "exact-vs-sharded streaming invariant; 'backend' diffs the "
-        "vectorized numpy backend against the python frontier across a "
-        "rename x window grid (default: all checks)",
+        "vectorized numpy backend against the python frontier on each "
+        "case's windowless config and its renaming steps (default: all "
+        "checks)",
     )
 
     adhoc = sub.add_parser("analyze", help="analyze one workload or trace file")

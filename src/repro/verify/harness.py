@@ -51,6 +51,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core import vkernels
 from repro.core.config import CONSERVATIVE, OPTIMISTIC, AnalysisConfig
 from repro.core.latency import LatencyTable
 from repro.core.results import AnalysisResult
@@ -117,30 +118,30 @@ def case_plan(
 
     ``focus="backend"`` diffs the vectorized numpy backend
     (:mod:`repro.core.vkernels`, pinned via the ``vkernel`` method)
-    against the python implementations: once against the baseline on the
-    case config, and pairwise against the python ``forward`` frontier across the
-    rename-step x window grid (the generated cases themselves vary
-    syscall policy, memory disambiguation, latency tables, and lifetime
-    collection, so the product grid is covered across a sweep). Where the
-    backend is ineligible or NumPy is absent, ``vkernel`` falls back to
-    the python frontier and the diff degenerates to a self-check."""
+    pairwise against the python ``forward`` frontier: on the case config
+    with its window cleared (windowed configs never run vectorized), and
+    across the rename steps of that config (the generated cases
+    themselves vary syscall policy, memory disambiguation, latency
+    tables, and lifetime collection, so the product grid is covered
+    across a sweep). Only configs the backend accepts get ``vkernel``
+    legs, so no pair compares python with itself; with NumPy absent
+    ``vkernel`` falls back and the pairs degenerate to self-checks."""
     plan = [(f"diff:{BASELINE_METHOD}", BASELINE_METHOD, config)]
     if focus == "shard":
         plan.extend((tag, method, config) for tag, method in SHARD_CHECKS)
         return plan
     if focus == "backend":
-        plan.append(("backend:case", "vkernel", config))
-        if config.resources is None:
-            for step, (regs, stack, data) in enumerate(_RENAME_STEPS):
-                derived = config.derive(
+        windowless = config.derive(window_size=None)
+        if vkernels.eligible(windowless):
+            legs = [("case", windowless)] + [
+                (f"rename{step}", windowless.derive(
                     rename_registers=regs, rename_stack=stack, rename_data=data
-                )
-                plan.append((f"backend:rename{step}:py", "forward", derived))
-                plan.append((f"backend:rename{step}:np", "vkernel", derived))
-            for window in WINDOW_CHAIN:
-                derived = config.derive(window_size=window)
-                plan.append((f"backend:window{window}:py", "forward", derived))
-                plan.append((f"backend:window{window}:np", "vkernel", derived))
+                ))
+                for step, (regs, stack, data) in enumerate(_RENAME_STEPS)
+            ]
+            for axis, derived in legs:
+                plan.append((f"backend:{axis}:py", "forward", derived))
+                plan.append((f"backend:{axis}:np", "vkernel", derived))
         return plan
     if focus != "all":
         raise ValueError(f"unknown verification focus {focus!r}")
@@ -274,18 +275,12 @@ def evaluate_case(
                 failures.extend(
                     diff_results(BASELINE_METHOD, baseline, method, result)
                 )
-        backend_case = results.get("backend:case")
-        if backend_case is not None:
-            # Cross-backend invariant: the vectorized backend is unmasked
-            # field-for-field identical to the streaming python loop.
-            failures.extend(
-                diff_results(BASELINE_METHOD, baseline, "backend:case", backend_case)
-            )
         failures.extend(_census_failures(trace, config, baseline))
 
     for tag in sorted(results):
-        # Paired grid points: backend:<axis>:np diffs against its
-        # backend:<axis>:py twin (same derived config, python frontier).
+        # Cross-backend invariant: backend:<axis>:np is unmasked
+        # field-for-field identical to its backend:<axis>:py twin (same
+        # config, python frontier).
         if not tag.startswith("backend:") or not tag.endswith(":np"):
             continue
         py_tag = tag[:-3] + ":py"

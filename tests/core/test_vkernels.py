@@ -62,8 +62,8 @@ class TestEligibility:
             AnalysisConfig(),
             AnalysisConfig.no_renaming(),
             AnalysisConfig(rename_stack=False),
-            AnalysisConfig(window_size=1),
-            AnalysisConfig(window_size=64),
+            AnalysisConfig(rename_data=False),
+            AnalysisConfig(collect_profile=False),
             AnalysisConfig(syscall_policy="optimistic"),
             AnalysisConfig(collect_lifetimes=True),
             AnalysisConfig(memory_disambiguation=CONSERVATIVE_DISAMBIGUATION),
@@ -79,6 +79,8 @@ class TestEligibility:
             AnalysisConfig(branch_predictor="bimodal"),
             AnalysisConfig(branch_predictor="not-taken"),
             AnalysisConfig(resources=ResourceModel(universal=2)),
+            AnalysisConfig(window_size=1),
+            AnalysisConfig(window_size=64),
         ],
     )
     def test_sequential_features_are_ineligible(self, config):
@@ -161,8 +163,9 @@ class TestGracefulFallback:
 
 
 #: The cross-backend grid: renaming lattice x window x syscall policy x
-#: disambiguation x lifetimes — every eligible kernel family and feature.
-ELIGIBLE_GRID = [
+#: disambiguation x lifetimes. Windowless cells run vectorized; windowed
+#: cells are ineligible and fall back to the python windowed loop.
+BACKEND_GRID = [
     AnalysisConfig(syscall_policy=policy, window_size=window, **extra)
     for policy in ("conservative", "optimistic")
     for window in (None, 1, 7, 64)
@@ -181,12 +184,16 @@ class TestCrossBackendGrid:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_grid_identical_results(self, seed):
         trace = columnar_trace(seed)
-        for config in ELIGIBLE_GRID:
-            assert vkernels.eligible(config), config.describe()
-            assert_same_result(
-                vkernels.analyze_vectorized(trace, config),
-                analyze(trace, config),
-            )
+        for config in BACKEND_GRID:
+            expected = analyze(trace, config)
+            if config.window_size is None:
+                assert vkernels.eligible(config), config.describe()
+                fast = vkernels.analyze_vectorized(trace, config)
+            else:
+                # Windows always run the python windowed loop.
+                assert not vkernels.eligible(config), config.describe()
+                fast = analyze(trace, config, backend="numpy")
+            assert_same_result(fast, expected)
 
     def test_profile_toggle(self):
         trace = columnar_trace(4, length=250)
@@ -225,7 +232,7 @@ class TestEdgeTraces:
         trace = ColumnarTrace.from_buffer(builder.build())
         for config in (
             AnalysisConfig(),
-            AnalysisConfig(window_size=1),
+            AnalysisConfig.no_renaming(),
             AnalysisConfig(syscall_policy="optimistic"),
         ):
             assert_same_result(
@@ -253,7 +260,7 @@ class TestEdgeTraces:
         """Branches/jumps are never placed but still counted; with no
         predictor they stay backend-eligible."""
         trace = columnar_trace(9, length=300, branch_fraction=0.3)
-        for config in (AnalysisConfig(), AnalysisConfig(window_size=5)):
+        for config in (AnalysisConfig(), AnalysisConfig(collect_lifetimes=True)):
             assert_same_result(
                 vkernels.analyze_vectorized(trace, config),
                 analyze(trace, config),
@@ -264,7 +271,8 @@ class TestEdgeTraces:
 class TestAdvanceBatch:
     """The streaming port: advance_batch must leave the frontier in exactly
     the state the python loops would, so the two backends can alternate
-    batches of one analysis without changing its result."""
+    batches of one analysis without changing its result. A windowed
+    frontier is declined untouched and streams through the python loops."""
 
     CONFIGS = [
         AnalysisConfig(),
@@ -273,9 +281,17 @@ class TestAdvanceBatch:
         AnalysisConfig(syscall_policy="optimistic", collect_lifetimes=True),
     ]
 
+    def assert_windowed_declines(self, config, trace):
+        fr = new_frontier(config, trace.segments, backend="numpy")
+        assert not vkernels.advance_batch(fr, trace, 0, len(trace))
+        assert fr.records == 0 and not fr.well  # untouched
+        assert fr.ring == [None] * config.window_size and fr.ring_pos == 0
+
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.describe())
     def test_numpy_batches_match_python(self, config):
         trace = columnar_trace(7)
+        if config.window_size is not None:
+            self.assert_windowed_declines(config, trace)
         cuts = [0, 61, 250, len(trace)]
         expected = finalize(
             advance(new_frontier(config, trace.segments), trace)
@@ -290,6 +306,8 @@ class TestAdvanceBatch:
         """numpy for the first half of the records, python loops for the
         second — the handoff state must be exact, not just the totals."""
         trace = columnar_trace(8)
+        if config.window_size is not None:
+            self.assert_windowed_declines(config, trace)
         mid = len(trace) // 2
         expected = finalize(
             advance(new_frontier(config, trace.segments), trace)
@@ -319,7 +337,7 @@ class TestIndexCache:
         vkernels.analyze_vectorized(trace, AnalysisConfig())
         cached = dict(trace._vk_index)
         assert cached
-        vkernels.analyze_vectorized(trace, AnalysisConfig(window_size=8))
+        vkernels.analyze_vectorized(trace, AnalysisConfig.no_renaming())
         for key, value in cached.items():
             assert trace._vk_index[key] is value
 
@@ -345,7 +363,7 @@ class TestSharedMemoryColumns:
                 for config in (
                     AnalysisConfig(),
                     AnalysisConfig.no_renaming(),
-                    AnalysisConfig(window_size=32),
+                    AnalysisConfig(collect_lifetimes=True),
                 ):
                     assert_same_result(
                         vkernels.analyze_vectorized(attached, config),

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.core import vkernels
 from repro.core.config import OPTIMISTIC, AnalysisConfig
 from repro.core.resources import ResourceModel
 from repro.trace.columnar import ColumnarTrace
@@ -62,14 +63,15 @@ class TestCasePlan:
 
 class TestBackendFocusPlan:
     def test_backend_case_always_present(self):
-        tags = {tag for tag, _, _ in case_plan(AnalysisConfig(), focus="backend")}
-        assert "backend:case" in tags
+        for config in (AnalysisConfig(), AnalysisConfig(window_size=16)):
+            tags = {tag for tag, _, _ in case_plan(config, focus="backend")}
+            assert {"backend:case:py", "backend:case:np"} <= tags
 
     def test_paired_py_np_tags(self):
         plan = case_plan(AnalysisConfig(), focus="backend")
         tags = {tag for tag, _, _ in plan}
         np_tags = {tag for tag in tags if tag.endswith(":np")}
-        assert np_tags  # rename and window chains both contribute
+        assert np_tags  # the case and the rename steps both contribute
         for tag in np_tags:
             assert tag[:-3] + ":py" in tags
         methods = {tag: method for tag, method, _ in plan}
@@ -77,13 +79,31 @@ class TestBackendFocusPlan:
             assert methods[tag] == "vkernel"
             assert methods[tag[:-3] + ":py"] == "forward"
 
-    def test_resource_configs_keep_only_the_case_diff(self):
-        """Constrained resources are backend-ineligible, so the chains
-        would compare python against python — only the (falling-back)
-        case diff remains."""
+    def test_ineligible_configs_plan_no_backend_legs(self):
+        """Constrained resources are backend-ineligible, so every vkernel
+        leg would compare python against python — only the baseline
+        remains."""
         config = AnalysisConfig(resources=ResourceModel(universal=2))
         tags = {tag for tag, _, _ in case_plan(config, focus="backend")}
-        assert tags == {f"diff:{BASELINE_METHOD}", "backend:case"}
+        assert tags == {f"diff:{BASELINE_METHOD}"}
+
+    def test_windowed_case_legs_are_eligible(self):
+        """A windowed case's vkernel legs run on its config with the window
+        cleared, each beside a python twin on that same config."""
+        case = next(
+            case
+            for case in (generate_case(77, seed) for seed in range(64))
+            if case.config.window_size is not None
+            and vkernels.eligible(case.config.derive(window_size=None))
+        )
+        plan = case_plan(case.config, focus="backend")
+        configs = {tag: cfg for tag, _, cfg in plan}
+        np_tags = [tag for tag in configs if tag.endswith(":np")]
+        assert np_tags
+        for tag in np_tags:
+            assert vkernels.eligible(configs[tag]), tag
+            assert configs[tag[:-3] + ":py"] == configs[tag]
+        assert configs[f"diff:{BASELINE_METHOD}"] == case.config
 
     def test_unknown_focus_rejected(self):
         with pytest.raises(ValueError, match="unknown verification focus"):
