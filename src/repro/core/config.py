@@ -59,7 +59,9 @@ class AnalysisConfig:
         collect_lifetimes: also gather value lifetime / degree-of-sharing
             distributions (slower).
         collect_profile: gather the full parallelism profile (on by default;
-            switch off for average-only baseline comparisons).
+            switch off for average-only baseline comparisons). The
+            experiment grids switch it off for every job but Figure 7's,
+            the only one that reads a profile.
     """
 
     syscall_policy: str = CONSERVATIVE

@@ -9,15 +9,17 @@ suite and the CLI both dispatch through it.
 
 Analysis structure: each experiment builds its full (workload x config)
 grid of :class:`~repro.engine.AnalysisJob` specs up front and submits the
-batch through :meth:`ExperimentEngine.analyze_grid`, so the same code runs
+batch through :meth:`ExperimentEngine.run_grid`, so the same code runs
 serially under ``--jobs 1`` and fans out to worker processes under
 ``--jobs N`` — and hits the on-disk result cache either way. Jobs are
-ordered workload-major, keeping each worker's small trace LRU hot.
+ordered workload-major, keeping each worker's small trace LRU hot. Only
+Figure 7's jobs collect a parallelism profile; every other grid switches
+it off, so the cache entries they store stay small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.baselines.average_only import average_parallelism
@@ -26,7 +28,7 @@ from repro.core.config import CONSERVATIVE, OPTIMISTIC, AnalysisConfig
 from repro.core.latency import LatencyTable
 from repro.core.resources import ResourceModel
 from repro.core.results import measurement_error
-from repro.engine import AnalysisJob, ExperimentEngine
+from repro.engine import AnalysisJob, ExperimentEngine, JobFailedError
 from repro.harness.paper_data import PAPER_TABLE2, PAPER_TABLE3, PAPER_TABLE4
 from repro.harness.runner import DEFAULT_CAP, TraceStore
 from repro.harness.tables import Table
@@ -63,20 +65,37 @@ class ExperimentOutput:
 
 
 def _grid_by_workload(
-    engine: ExperimentEngine, cap: int, configs: List[AnalysisConfig], **job_kwargs
+    engine: ExperimentEngine,
+    cap: int,
+    variants: List[Union[AnalysisConfig, Dict[str, object]]],
+    profile: bool = False,
+    outcomes: bool = False,
 ):
-    """Run the (workload x config) product grid; returns
-    ``(workloads, {workload name: [result per config]})``."""
+    """Run the (workload x variant) product grid strictly; returns
+    ``(workloads, {workload name: [result per variant]})``.
+
+    A variant is an :class:`AnalysisConfig`, or a dict of
+    :class:`AnalysisJob` keyword arguments (``{"method": "twopass"}``,
+    ``{"optimize": True}``) whose config defaults to ``AnalysisConfig()``.
+    Every job gets ``collect_profile=profile``: only Figure 7 reads a
+    parallelism profile, and a stored profile is most of a result-cache
+    entry. ``outcomes=True`` returns the :class:`JobOutcome` per variant
+    instead of its result (abl-twopass reads per-job timings)."""
     workloads = all_workloads()
-    grid = [
-        AnalysisJob(workload.name, cap, config, **job_kwargs)
-        for workload in workloads
-        for config in configs
-    ]
-    results = engine.analyze_grid(grid)
-    width = len(configs)
+    grid = []
+    for workload in workloads:
+        for variant in variants:
+            kwargs = dict(variant) if isinstance(variant, dict) else {"config": variant}
+            config = replace(kwargs.pop("config", AnalysisConfig()), collect_profile=profile)
+            grid.append(AnalysisJob(workload.name, cap, config, **kwargs))
+    done = engine.run_grid(grid)
+    failures = [outcome for outcome in done if not outcome.ok]
+    if failures:
+        raise JobFailedError(failures)
+    items = done if outcomes else [outcome.result for outcome in done]
+    width = len(variants)
     by_workload = {
-        workload.name: results[i * width : (i + 1) * width]
+        workload.name: items[i * width : (i + 1) * width]
         for i, workload in enumerate(workloads)
     }
     return workloads, by_workload
@@ -215,7 +234,7 @@ def fig7_profiles(source: TraceSource, cap: int = DEFAULT_CAP) -> ExperimentOutp
     )
     figures = {}
     configs = [AnalysisConfig.dataflow_limit(CONSERVATIVE)]
-    workloads, results = _grid_by_workload(engine, cap, configs)
+    workloads, results = _grid_by_workload(engine, cap, configs, profile=True)
     for workload in workloads:
         (result,) = results[workload.name]
         profile = result.profile
@@ -418,23 +437,13 @@ def ablation_twopass(source: TraceSource, cap: int = DEFAULT_CAP) -> ExperimentO
             "2-pass sec",
         ],
     )
-    workloads = all_workloads()
-    config = AnalysisConfig()
-    grid = [
-        AnalysisJob(workload.name, cap, config, method=method)
-        for workload in workloads
-        for method in ("forward", "twopass")
-    ]
-    # run_grid (not analyze_grid) to read per-job wall-clock timings; a
+    # Outcomes, not results: they carry per-job wall-clock timings; a
     # result-cache hit reports 0s — the cached run did the work earlier.
-    outcomes = engine.run_grid(grid)
-    failures = [outcome for outcome in outcomes if not outcome.ok]
-    if failures:
-        from repro.engine import JobFailedError
-
-        raise JobFailedError(failures)
-    for i, workload in enumerate(workloads):
-        fwd, two = outcomes[2 * i], outcomes[2 * i + 1]
+    workloads, outcomes = _grid_by_workload(
+        engine, cap, [{"method": "forward"}, {"method": "twopass"}], outcomes=True
+    )
+    for workload in workloads:
+        fwd, two = outcomes[workload.name]
         forward, twopass = fwd.result, two.result
         reduction = (
             forward.peak_live_well / twopass.peak_live_well
@@ -570,16 +579,11 @@ def ablation_compiler(source: TraceSource, cap: int = DEFAULT_CAP) -> Experiment
             "AP ratio",
         ],
     )
-    workloads = all_workloads()
-    config = AnalysisConfig()
-    grid = [
-        AnalysisJob(workload.name, cap, config, optimize=optimize)
-        for workload in workloads
-        for optimize in (False, True)
-    ]
-    results = engine.analyze_grid(grid)
-    for i, workload in enumerate(workloads):
-        plain, optimized = results[2 * i], results[2 * i + 1]
+    workloads, results = _grid_by_workload(
+        engine, cap, [{"optimize": False}, {"optimize": True}]
+    )
+    for workload in workloads:
+        plain, optimized = results[workload.name]
         ratio = (
             optimized.available_parallelism / plain.available_parallelism
             if plain.available_parallelism

@@ -14,12 +14,20 @@ digest (see :mod:`repro.trace.io`). A stale, truncated, or corrupted
 cache file raises :class:`~repro.trace.io.TraceFormatError` on read; the
 store logs a warning and regenerates it from the workload — loud recovery
 instead of silently analyzing corrupt records.
+
+Table 2's full-run lengths persist beside the traces as
+``<name>.fullrun.json`` sidecars, keyed by a digest of everything the count
+depends on (:func:`full_run_key`); a missing, unreadable or mismatched
+sidecar is re-simulated and rewritten, with the same loud warning.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import os
+import tempfile
 from typing import Dict, Optional, Tuple
 
 from repro.obs import metrics as obs
@@ -38,6 +46,32 @@ logger = logging.getLogger(__name__)
 #: The paper analyzed at most 100M instructions per benchmark; our default
 #: budget scales that to pure-Python analysis speeds.
 DEFAULT_CAP = 250_000
+
+#: Instruction budget of an untraced full run (Table 2's "Total instrs"
+#: column). A run that reaches it is truncated, not full, and raises
+#: :class:`TruncatedRunError`. Read at call time, so tests can shrink it.
+FULL_RUN_LIMIT = 20_000_000
+
+
+class TruncatedRunError(RuntimeError):
+    """A "full" run hit :data:`FULL_RUN_LIMIT` before the program ended."""
+
+
+def full_run_key(workload) -> str:
+    """sha256 over everything a full run's length depends on: the MiniC
+    source, the frame model, the inputs and :data:`FULL_RUN_LIMIT`."""
+    payload = json.dumps(
+        {
+            "source": workload.source(),
+            "static_frames": workload.static_frames,
+            "int_inputs": list(workload.int_inputs),
+            "float_inputs": list(workload.float_inputs),
+            "limit": FULL_RUN_LIMIT,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return hashlib.sha256(payload).hexdigest()
 
 
 class TraceStore:
@@ -164,15 +198,72 @@ class TraceStore:
 
     def full_run_length(self, workload) -> int:
         """Dynamic instruction count of the complete (untraced) run — the
-        paper's "Total Instructions in Trace" column."""
+        paper's "Total Instructions in Trace" column. A disk-backed store
+        reads it from the workload's ``.fullrun.json`` sidecar when its
+        key matches, and otherwise simulates and writes the sidecar; a
+        memory-only store simulates once per process."""
         if isinstance(workload, str):
             workload = load_workload(workload)
         cached = self._lengths.get(workload.name)
         if cached is not None:
             return cached
-        result, _ = workload.run(max_instructions=20_000_000, trace=False)
-        self._lengths[workload.name] = result.executed
-        return result.executed
+        path = key = length = None
+        if self.directory:
+            path = os.path.join(self.directory, f"{workload.name}.fullrun.json")
+            key = full_run_key(workload)
+            length = _read_full_run(path, key)
+        if length is None:
+            obs.inc("trace_store.full_run_simulate")
+            result, _ = workload.run(max_instructions=FULL_RUN_LIMIT, trace=False)
+            if result.reason == "limit":
+                raise TruncatedRunError(
+                    f"full run of {workload.name} reached the "
+                    f"{FULL_RUN_LIMIT}-instruction limit without ending; "
+                    "its length is unknown"
+                )
+            length = result.executed
+            if path:
+                _write_full_run(path, key, workload.name, length)
+        else:
+            obs.inc("trace_store.full_run_hit")
+        self._lengths[workload.name] = length
+        return length
+
+
+def _read_full_run(path: str, key: str) -> Optional[int]:
+    """The length a sidecar holds, or ``None`` when there is none; an
+    unreadable or stale one is logged and also reads as ``None``."""
+    try:
+        with open(path, "r") as handle:
+            entry = json.load(handle)
+        if entry["key"] != key:
+            raise ValueError("key mismatch")
+        length = entry["executed"]
+        if type(length) is not int or length < 1:
+            raise ValueError(f"bad length {length!r}")
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        logger.warning("stale full-run sidecar %s (%s); re-simulating", path, error)
+        return None
+    return length
+
+
+def _write_full_run(path: str, key: str, name: str, length: int) -> None:
+    """Write a sidecar atomically (temp file, then ``os.replace``)."""
+    handle = tempfile.NamedTemporaryFile(
+        "w", dir=os.path.dirname(path), prefix=".tmp-", suffix=".json", delete=False
+    )
+    try:
+        with handle:
+            json.dump({"key": key, "workload": name, "executed": length}, handle)
+        os.replace(handle.name, path)
+    except BaseException:
+        try:
+            os.remove(handle.name)
+        except OSError:
+            pass
+        raise
 
 
 #: Shared default store (in-memory only).

@@ -1,12 +1,15 @@
 """Trace store caching, staleness recovery, and disk sharing."""
 
+import json
 import os
 
 import pytest
 
-from repro.harness.runner import TraceStore
+from repro.harness import runner
+from repro.harness.runner import TraceStore, TruncatedRunError, full_run_key
 from repro.trace.io import read_trace_digest, write_trace_file
 from repro.trace.synthetic import random_trace
+from repro.workloads.base import Workload
 from repro.workloads.suite import load_workload
 
 
@@ -177,9 +180,70 @@ class TestEnsureOnDisk:
         assert read_trace_digest(path) == digest
 
 
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("the workload was simulated")
+
+
 class TestFullRunLength:
+    """Table 2's full-run length: memoized per store, persisted as a keyed
+    sidecar beside a disk-backed store's traces."""
+
     def test_length_cached(self):
         store = TraceStore()
         first = store.full_run_length("doducx")
         second = store.full_run_length("doducx")
         assert first == second > 100_000
+
+    def _sidecar(self, tmp_path):
+        directory = str(tmp_path / "traces")
+        length = TraceStore(directory).full_run_length("doducx")
+        return directory, os.path.join(directory, "doducx.fullrun.json"), length
+
+    def test_sidecar_read_by_fresh_store(self, tmp_path, monkeypatch):
+        directory, path, length = self._sidecar(tmp_path)
+        with open(path) as handle:
+            entry = json.load(handle)
+        assert entry["key"] == full_run_key(load_workload("doducx"))
+        assert entry["executed"] == length
+        monkeypatch.setattr(Workload, "run", _no_simulation)
+        assert TraceStore(directory).full_run_length("doducx") == length
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b"[]", b'{"key": "0000", "workload": "doducx", "executed": 5}'],
+        ids=["corrupt", "wrong-shape", "key-mismatch"],
+    )
+    def test_stale_sidecar_resimulated_once(self, tmp_path, caplog, content):
+        directory, path, length = self._sidecar(tmp_path)
+        with open(path, "wb") as handle:
+            handle.write(content)
+        with caplog.at_level("WARNING", logger="repro.harness.runner"):
+            assert TraceStore(directory).full_run_length("doducx") == length
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "re-simulating" in warnings[0].getMessage()
+        with open(path) as handle:
+            entry = json.load(handle)
+        assert entry["key"] == full_run_key(load_workload("doducx"))
+        assert entry["executed"] == length
+
+    def test_limit_change_invalidates_key(self, monkeypatch):
+        workload = load_workload("doducx")
+        before = full_run_key(workload)
+        monkeypatch.setattr(runner, "FULL_RUN_LIMIT", runner.FULL_RUN_LIMIT + 1)
+        assert full_run_key(workload) != before
+
+    def test_memory_only_store_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        TraceStore().full_run_length("doducx")
+        assert os.listdir(tmp_path) == []
+
+    def test_truncated_run_raises_and_is_not_kept(self, tmp_path, monkeypatch):
+        directory = str(tmp_path / "traces")
+        store = TraceStore(directory)
+        monkeypatch.setattr(runner, "FULL_RUN_LIMIT", 1000)
+        with pytest.raises(TruncatedRunError, match="doducx.*1000-instruction limit"):
+            store.full_run_length("doducx")
+        assert os.listdir(directory) == []
+        monkeypatch.undo()
+        assert store.full_run_length("doducx") > 100_000
