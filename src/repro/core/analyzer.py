@@ -23,9 +23,12 @@ DESIGN.md section 4.
 :func:`analyze` is a router. The rule has one python implementation, the
 resumable :class:`~repro.core.stream.Frontier` loops, and one vectorized
 one, :mod:`repro.core.vkernels`; a whole-trace analysis is one frontier
-advanced over every record. :mod:`repro.core.reference`,
-:mod:`repro.core.twopass` and the verification oracle are independent
-checkers that tests cross-validate against.
+advanced over every record, or one vectorized pass when ``backend`` is
+``"numpy"`` and the configuration is eligible. Streaming and sharding
+always advance python frontiers: the vectorized pass has no
+continuation. :mod:`repro.core.reference`, :mod:`repro.core.twopass` and
+the verification oracle are independent checkers that tests
+cross-validate against.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ from repro.obs import metrics as _obs
 from repro.obs.spans import span as _span
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
+
+#: Backend knob values accepted across analyze()/CLI/jobs. They live here,
+#: not in :mod:`repro.core.vkernels`, so checking a backend name never
+#: imports NumPy.
+BACKEND_PYTHON = "python"
+BACKEND_NUMPY = "numpy"
+BACKENDS = (BACKEND_PYTHON, BACKEND_NUMPY)
 
 
 def analyze(
@@ -58,11 +68,12 @@ def analyze(
         segments: segment map override (defaults to the trace's own).
         backend: ``"python"`` (default) or ``"numpy"``. The numpy backend
             evaluates the same placement rule over level-frontier batches
-            (:mod:`repro.core.vkernels`) and is bit-identical; it applies
-            when NumPy is importable and the configuration is eligible
-            (no window, no branch predictor, no constrained resources) — anything
-            else falls back to the python frontier silently. Results never
-            depend on the backend.
+            of the whole trace (:mod:`repro.core.vkernels`) and is
+            bit-identical; it applies when NumPy is importable and the
+            configuration is eligible (no window, no branch predictor, no
+            constrained resources) — anything else falls back to the
+            python frontier silently. Results never depend on the
+            backend.
 
     Returns:
         An :class:`~repro.core.results.AnalysisResult`.
@@ -72,11 +83,11 @@ def analyze(
     if segments is None:
         segments = getattr(trace, "segments", DEFAULT_SEGMENTS)
     trace = ColumnarTrace.from_buffer(trace, segments)
-    if backend != "python":
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown analysis backend {backend!r}")
+    if backend == BACKEND_NUMPY:
         from repro.core import vkernels
 
-        if backend not in vkernels.BACKENDS:
-            raise ValueError(f"unknown analysis backend {backend!r}")
         if vkernels.available() and vkernels.eligible(config):
             return vkernels.analyze_vectorized(trace, config, segments)
     # The span is per analysis, not per record: with metrics off this is a

@@ -17,8 +17,10 @@ specialized by configuration instead of testing every switch per record:
   branch predictors, conservative disambiguation, lifetime collection).
 
 The vectorized backend (:mod:`repro.core.vkernels`) serves only
-windowless dataflow and generic configs (no predictor, no constrained
-resources); windowed configs always run the python windowed loop. Every
+whole-trace ``analyze(..., backend="numpy")`` calls on windowless
+dataflow and generic configs (no predictor, no constrained resources);
+windowed configs, and every streamed, sharded or segment analysis, run
+these python loops. Every
 loop is cross-validated field-for-field against
 :mod:`repro.core.reference` over the full configuration grid
 (``tests/core/test_kernels.py``).

@@ -16,7 +16,10 @@ window:
 ``advance`` is an exact continuation, so chunked streaming reproduces the
 monolithic result for *every* configuration: all rename settings, window
 sizes, branch predictors, resource limits, syscall policies, memory
-disambiguation, lifetimes, profiles.
+disambiguation, lifetimes, profiles. These loops are the only streaming
+and sharding implementation: the vectorized backend
+(:mod:`repro.core.vkernels`) analyzes whole traces only and never
+continues a frontier.
 
 Sharded (parallel) analysis additionally needs segments analyzable *out of
 order*, which is where the paper's conservative syscall firewall earns its
@@ -137,7 +140,6 @@ class Frontier:
     __slots__ = (
         "config",
         "segments",
-        "backend",
         "kernel",
         "latency",
         "conservative",
@@ -162,17 +164,9 @@ class Frontier:
         "share_hist",
     )
 
-    def __init__(
-        self, config: AnalysisConfig, segments: SegmentMap, backend: str = "python"
-    ):
-        if backend != "python":
-            from repro.core import vkernels
-
-            if backend not in vkernels.BACKENDS:
-                raise ValueError(f"unknown analysis backend {backend!r}")
+    def __init__(self, config: AnalysisConfig, segments: SegmentMap):
         self.config = config
         self.segments = segments
-        self.backend = backend
         self.kernel = select_kernel(config)
         self.latency = config.latency.as_list()
         self.conservative = config.syscall_policy == CONSERVATIVE
@@ -207,19 +201,9 @@ class Frontier:
 def new_frontier(
     config: Optional[AnalysisConfig] = None,
     segments: SegmentMap = DEFAULT_SEGMENTS,
-    backend: str = "python",
 ) -> Frontier:
-    """A fresh frontier: the state of an analysis that has seen nothing.
-
-    ``backend="numpy"`` asks ``advance`` to route each batch through the
-    vectorized frontier engine (:func:`repro.core.vkernels.advance_batch`)
-    when NumPy is importable and the configuration is eligible; anything
-    else falls back to the python continuation loops for that batch.
-    The backend never changes results — only how they are computed.
-    """
-    return Frontier(
-        config if config is not None else AnalysisConfig(), segments, backend
-    )
+    """A fresh frontier: the state of an analysis that has seen nothing."""
+    return Frontier(config if config is not None else AnalysisConfig(), segments)
 
 
 def advance(frontier: Frontier, trace, start: int = 0, end: Optional[int] = None) -> Frontier:
@@ -234,11 +218,6 @@ def advance(frontier: Frontier, trace, start: int = 0, end: Optional[int] = None
         raise ValueError(f"bad record range [{start}, {end}) for {n}-record trace")
     if start == end:
         return frontier
-    if frontier.backend != "python":
-        from repro.core import vkernels
-
-        if vkernels.advance_batch(frontier, trace, start, end):
-            return frontier
     if frontier.kernel == KERNEL_GENERIC:
         _advance_generic(frontier, trace, start, end)
     elif frontier.kernel == KERNEL_WINDOWED:
@@ -796,7 +775,6 @@ def summarize_segment(
     trace,
     config: AnalysisConfig,
     segments: Optional[SegmentMap] = None,
-    backend: str = "python",
 ) -> SegmentSummary:
     """Pass 1 of sharded analysis: run ``trace`` (one standalone segment)
     past its first conservative syscall from a fresh frontier and export
@@ -816,7 +794,7 @@ def summarize_segment(
             break
     if cut < 0:
         raise ValueError("segment has no syscall to cut at")
-    return _summarize_range(trace, config, segments, cut + 1, count, count, backend)
+    return _summarize_range(trace, config, segments, cut + 1, count, count)
 
 
 def _summarize_range(
@@ -826,12 +804,11 @@ def _summarize_range(
     suffix_start: int,
     suffix_end: int,
     segment_count: int,
-    backend: str = "python",
 ) -> SegmentSummary:
     """Fresh-frontier analysis of ``trace[suffix_start:suffix_end]``
     exported as a summary for a ``segment_count``-record segment whose
     first syscall is record ``suffix_start - 1`` of the range."""
-    fr = new_frontier(config, segments, backend)
+    fr = new_frontier(config, segments)
     advance(fr, trace, suffix_start, suffix_end)
     return SegmentSummary(
         count=segment_count,
@@ -916,7 +893,6 @@ def stream_analyze_trace(
     config: Optional[AnalysisConfig] = None,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
     segments: Optional[SegmentMap] = None,
-    backend: str = "python",
 ) -> AnalysisResult:
     """Analyze ``trace`` by advancing one frontier over fixed-size record
     chunks. Exact for every configuration; exists so the chunk-cut
@@ -928,7 +904,7 @@ def stream_analyze_trace(
         config = AnalysisConfig()
     if segments is None:
         segments = columnar.segments
-    fr = new_frontier(config, segments, backend)
+    fr = new_frontier(config, segments)
     count = len(columnar.opclass)
     for start in range(0, count, chunk_records):
         advance(fr, columnar, start, min(start + chunk_records, count))
@@ -940,7 +916,6 @@ def shard_analyze_trace(
     config: Optional[AnalysisConfig] = None,
     shard_size: int = DEFAULT_CHUNK_RECORDS,
     segments: Optional[SegmentMap] = None,
-    backend: str = "python",
 ) -> AnalysisResult:
     """Analyze ``trace`` through the full shard machinery in-process:
     window-aligned segments, fresh-frontier suffix summaries for
@@ -956,7 +931,7 @@ def shard_analyze_trace(
         segments = columnar.segments
     shard_size = align_shard_size(config, shard_size)
     eligible = splice_eligible(config)
-    fr = new_frontier(config, segments, backend)
+    fr = new_frontier(config, segments)
     ops = columnar.opclass
     count = len(ops)
     start = 0
@@ -970,7 +945,7 @@ def shard_analyze_trace(
                     break
         if cut >= 0:
             summary = _summarize_range(
-                columnar, config, segments, cut + 1, end, end - start, backend
+                columnar, config, segments, cut + 1, end, end - start
             )
             advance(fr, columnar, start, cut + 1)
             splice(fr, summary)
@@ -985,7 +960,6 @@ def stream_analyze_file(
     config: Optional[AnalysisConfig] = None,
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
     cap: Optional[int] = None,
-    backend: str = "python",
 ) -> AnalysisResult:
     """Analyze a PGT2 trace file with bounded memory: chunks decode off an
     ``mmap`` one at a time (see :func:`repro.trace.chunked.iter_chunks`)
@@ -999,7 +973,7 @@ def stream_analyze_file(
         config = AnalysisConfig()
     with open(path, "rb") as stream:
         segments, _, _ = read_header(stream)
-    fr = new_frontier(config, segments, backend)
+    fr = new_frontier(config, segments)
     remaining = cap
     with _span("stream.analyze_file"):
         for chunk in iter_chunks(path, chunk_records):

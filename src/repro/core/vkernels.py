@@ -1,4 +1,4 @@
-"""Vectorized (NumPy) placement kernels over columnar traces.
+"""Vectorized (NumPy) placement kernels over whole columnar traces.
 
 The python frontier (:mod:`repro.core.stream`) walks records one at a
 time. This module evaluates the *same* placement rule —
@@ -19,21 +19,22 @@ level-frontier batches instead:
    with a scalar cascade for narrow frontiers (long dependence chains)
    where vector dispatch overhead would dominate. Conservative syscalls
    are single scalar steps between blocks.
-3. **Token stats**: uses, deepest-use, lifetimes, and the exported
-   live well all fall out of per-token ``bincount``/``maximum.at``
-   reductions over the same index.
+3. **Token stats**: uses, deepest-use and lifetimes fall out of
+   per-token ``bincount``/``maximum.at`` reductions over the same index.
 
-Results are bit-identical to the python frontier for every *eligible*
-configuration — all renaming combinations, both syscall policies,
-conservative memory disambiguation, lifetimes, profiles, and mid-stream
-:func:`advance_batch` continuation. Ineligible (and handed back to the
-python loops): instruction windows, branch predictors and constrained
-resource models. Predictors and resources keep greedy per-record state
-with no batched formulation; a window's ring raises the floor record by
-record, and the python windowed loop is faster than any blocked
-imitation of it (DESIGN.md section 16). NumPy itself is optional — with
-it absent :func:`available` is False and every caller falls back to the
-python frontier.
+The backend only runs whole-trace analyses, starting from an empty live
+well: there is no vectorized continuation of a
+:class:`~repro.core.stream.Frontier`, so chunked streaming and sharding
+always run the python loops. Results are bit-identical to the python
+frontier for every *eligible* configuration — all renaming combinations,
+both syscall policies, conservative memory disambiguation, lifetimes and
+profiles. Ineligible (and handed back to the python loops): instruction
+windows, branch predictors and constrained resource models. Predictors
+and resources keep greedy per-record state with no batched formulation;
+a window's ring raises the floor record by record, and the python
+windowed loop is faster than any blocked imitation of it (DESIGN.md
+section 16). NumPy itself is optional — with it absent :func:`available`
+is False and every caller falls back to the python frontier.
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ try:  # NumPy is an optional extra; everything degrades without it.
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
 
+from repro.core.analyzer import BACKEND_NUMPY, BACKEND_PYTHON, BACKENDS
 from repro.core.config import (
     CONSERVATIVE,
     CONSERVATIVE_DISAMBIGUATION,
     AnalysisConfig,
 )
-from repro.core.kernels import KERNEL_GENERIC
 from repro.core.lifetimes import LifetimeStats
 from repro.core.livewell import NEVER_USED
 from repro.core.profile import ParallelismProfile
@@ -66,11 +67,6 @@ _SYSCALL = int(OpClass.SYSCALL)
 _BRANCH = int(OpClass.BRANCH)
 _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
-
-#: Backend knob values accepted across analyze()/CLI/jobs.
-BACKEND_PYTHON = "python"
-BACKEND_NUMPY = "numpy"
-BACKENDS = (BACKEND_PYTHON, BACKEND_NUMPY)
 
 #: Unresolved-level sentinel (same magnitude as NEVER_USED; any placement
 #: seeded from it stays impossibly negative and is visibly wrong).
@@ -108,7 +104,7 @@ def eligible(config: AnalysisConfig) -> bool:
 
 def _col(column):
     """Zero-copy int64 view of one columnar array (array('q') or a
-    shared-memory/mmap memoryview — any contiguous buffer of q)."""
+    shared-memory memoryview — any contiguous buffer of q)."""
     if len(column):
         return _np.frombuffer(memoryview(column), dtype=_np.int64)
     return _np.empty(0, dtype=_np.int64)
@@ -127,72 +123,60 @@ def _seed_frontier_batch(C, recs, base) -> None:
 # -- the access index --------------------------------------------------------
 
 
-def _empty_index(n, ops, ordinary, syscall, conservative, flags):
-    z = _np.empty(0, dtype=_np.int64)
-    zb = _np.empty(0, dtype=bool)
-    placed_mask = ordinary | syscall if conservative else ordinary
-    return {
+def _build_index(trace, conservative: bool) -> dict:
+    """One sort of the trace's access stream -> every dependence edge and
+    the token structure the live well encodes. Access ordinals are ``2r``
+    for the reads of record ``r`` and ``2r + 1`` for its writes, so a
+    record's reads bind strictly before its own writes and duplicate
+    destinations keep slot order (the sort is stable), matching the
+    python kernels' read-then-overwrite order.
+    """
+    ops = _col(trace.opclass)
+    flags = _col(trace.flags)
+    soff = _col(trace.src_offsets)
+    doff = _col(trace.dest_offsets)
+    n = len(ops)
+    ordinary = ops < _SYSCALL
+    syscall = ops == _SYSCALL
+    memrec = _np.nonzero((ops == _LOAD) | (ops == _STORE))[0]
+    index = {
         "n": n,
         "ops": ops,
         "ordinary": ordinary,
-        "syscall": syscall,
         "syscall_recs": _np.nonzero(syscall)[0],
-        "placed_mask": placed_mask,
+        "placed_mask": ordinary | syscall if conservative else ordinary,
         "branches": int(
             ((ops == _BRANCH) & ((flags & FLAG_CONDITIONAL) != 0)).sum()
         ),
-        "n_syscalls": int(syscall.sum()),
-        "raw_src": z, "raw_dst": z,
-        "war_src": z, "war_dst": z, "war_loc": z,
-        "read_rec": z, "read_tok": z,
-        "base_rec": z, "base_grp": z,
-        "nwrites": 0, "groups": 0,
-        "tok_rec": z, "tok_last": zb,
-        "g_loc": z, "g_last_tok": z, "g_first_w_rec": z, "g_first_rec": z,
-        "memrec": z, "is_store": zb,
+        "memrec": memrec,
+        "is_store": ops[memrec] == _STORE,
     }
 
-
-def _build_index(trace, conservative: bool, start: int, end: int) -> dict:
-    """One sort of the batch's access stream -> every dependence edge and
-    the token structure the live well encodes. Record ids are batch-local
-    (record ``start + r`` is ``r``); access ordinals are ``2r`` for reads
-    and ``2r + 1`` for writes, so a record's reads bind strictly before
-    its own writes and duplicate destinations keep slot order (the sort
-    is stable), matching the python kernels' read-then-overwrite order.
-    """
-    ops = _col(trace.opclass)[start:end]
-    flags = _col(trace.flags)[start:end]
-    soff = _col(trace.src_offsets)
-    doff = _col(trace.dest_offsets)
-    n = end - start
-    ordinary = ops < _SYSCALL
-    syscall = ops == _SYSCALL
-
-    s_lo, s_hi = int(soff[start]), int(soff[end])
-    d_lo, d_hi = int(doff[start]), int(doff[end])
-    rec_s = _np.repeat(
-        _np.arange(n, dtype=_np.int64), _np.diff(soff[start : end + 1])
-    )
-    rec_d = _np.repeat(
-        _np.arange(n, dtype=_np.int64), _np.diff(doff[start : end + 1])
-    )
+    arange_n = _np.arange(n, dtype=_np.int64)
+    rec_s = _np.repeat(arange_n, _np.diff(soff[: n + 1]))
+    rec_d = _np.repeat(arange_n, _np.diff(doff[: n + 1]))
 
     rmask = ordinary[rec_s]
     read_rec = rec_s[rmask]
-    read_loc = _col(trace.src_values)[s_lo:s_hi][rmask]
+    read_loc = _col(trace.src_values)[int(soff[0]) : int(soff[n])][rmask]
 
     wsel = ordinary[rec_d]
     if conservative:
         wsel = wsel | syscall[rec_d]
     w_rec = rec_d[wsel]
-    w_loc = _col(trace.dest_values)[d_lo:d_hi][wsel]
+    w_loc = _col(trace.dest_values)[int(doff[0]) : int(doff[n])][wsel]
 
     nreads = len(read_rec)
     nwrites = len(w_rec)
     M = nreads + nwrites
     if not M:
-        return _empty_index(n, ops, ordinary, syscall, conservative, flags)
+        z = _np.empty(0, dtype=_np.int64)
+        index.update(
+            raw_src=z, raw_dst=z, raw_tok=z,
+            war_src=z, war_dst=z, war_loc=z,
+            tok_rec=z, nwrites=0, groups=0,
+        )
+        return index
 
     loc = _np.concatenate([read_loc, w_loc])
     ordn = _np.concatenate([2 * read_rec, 2 * w_rec + 1])
@@ -218,28 +202,20 @@ def _build_index(trace, conservative: bool, start: int, end: int) -> dict:
 
     # Per row: write ordinal so far, last write at <= row, next write >= row.
     widx = _np.cumsum(isw_s) - 1
-    wpos = _np.where(isw_s, pos, -1)
-    last_w = _np.maximum.accumulate(wpos)
-    npos = _np.where(isw_s, pos, _BIG)
-    next_w = _np.minimum.accumulate(npos[::-1])[::-1]
+    last_w = _np.maximum.accumulate(_np.where(isw_s, pos, -1))
+    next_w = _np.minimum.accumulate(_np.where(isw_s, pos, _BIG)[::-1])[::-1]
 
     read_rows = ~isw_s
     r_last_w = last_w[read_rows]
     r_next_w = next_w[read_rows]
     r_grp = grp_id[read_rows]
     r_rec = rec_srt[read_rows]
-    r_loc = loc_s[read_rows]
 
-    # RAW: each read binds to the last write of its location, when that
-    # write is in-batch; otherwise to the group's base token (an incoming
-    # or first-touch well entry).
+    # RAW: each read binds to the last earlier write of its location —
+    # write token widx (the t'th write in (location, ordinal) order).
+    # Reads before any write see a first-touch entry: no edge, no token.
     bound = r_last_w >= grp_first[r_grp]
-    safe_last = _np.maximum(r_last_w, 0)
-    read_tok = _np.where(bound, widx[safe_last], nwrites + r_grp)
-    raw_src = rec_srt[safe_last][bound]
-    raw_dst = r_rec[bound]
-    base_rec = r_rec[~bound]
-    base_grp = r_grp[~bound]
+    raw_last = r_last_w[bound]
 
     # WAR: each read constrains the *next* write of its location (+1).
     # Self-edges drop (a record reads before it overwrites); syscall
@@ -248,60 +224,29 @@ def _build_index(trace, conservative: bool, start: int, end: int) -> dict:
     war_dst = rec_srt[_np.minimum(r_next_w, M - 1)]
     keep = war_ok & (war_dst != r_rec) & ~syscall[_np.maximum(war_dst, 0)]
 
-    # Token structure: token t is the t'th write in (location, ordinal)
-    # order; base tokens (one per location group) follow at nwrites + g.
-    w_pos = pos[isw_s]
-    w_grp = grp_id[isw_s]
-    tok_rec = rec_srt[isw_s]
-    g_last_wpos = _np.maximum.reduceat(wpos, grp_first)
-    tok_last = w_pos == g_last_wpos[w_grp]
-    g_last_tok = _np.where(
-        g_last_wpos >= 0, widx[_np.maximum(g_last_wpos, 0)], -1
+    index.update(
+        raw_src=rec_srt[raw_last],
+        raw_dst=r_rec[bound],
+        raw_tok=widx[raw_last],
+        war_src=r_rec[keep],
+        war_dst=war_dst[keep],
+        war_loc=loc_s[read_rows][keep],
+        tok_rec=rec_srt[isw_s],
+        nwrites=nwrites,
+        groups=G,
     )
-    g_first_wpos = _np.minimum.reduceat(npos, grp_first)
-    g_first_w_rec = _np.where(
-        g_first_wpos < _BIG, rec_srt[_np.minimum(g_first_wpos, M - 1)], -1
-    )
-    g_loc = loc_s[grp_first]
-    g_first_rec = rec_srt[grp_first]
-
-    memmask = (ops == _LOAD) | (ops == _STORE)
-    memrec = _np.nonzero(memmask)[0]
-
-    placed_mask = ordinary | syscall if conservative else ordinary
-    return {
-        "n": n,
-        "ops": ops,
-        "ordinary": ordinary,
-        "syscall": syscall,
-        "syscall_recs": _np.nonzero(syscall)[0],
-        "placed_mask": placed_mask,
-        "branches": int(
-            ((ops == _BRANCH) & ((flags & FLAG_CONDITIONAL) != 0)).sum()
-        ),
-        "n_syscalls": int(syscall.sum()),
-        "raw_src": raw_src, "raw_dst": raw_dst,
-        "war_src": r_rec[keep], "war_dst": war_dst[keep], "war_loc": r_loc[keep],
-        "read_rec": r_rec,
-        "read_tok": read_tok,
-        "base_rec": base_rec, "base_grp": base_grp,
-        "nwrites": nwrites, "groups": G,
-        "tok_rec": tok_rec, "tok_last": tok_last,
-        "g_loc": g_loc, "g_last_tok": g_last_tok,
-        "g_first_w_rec": g_first_w_rec, "g_first_rec": g_first_rec,
-        "memrec": memrec, "is_store": ops[memrec] == _STORE,
-    }
+    return index
 
 
-def _get_index(trace, conservative: bool, start: int, end: int) -> dict:
-    """Batch index, cached on the trace (the sort does not depend on the
-    analysis config beyond the syscall policy, so config sweeps and
+def _get_index(trace, conservative: bool) -> dict:
+    """The trace's access index, memoized on it by syscall policy (the
+    sort does not depend on the rest of the config, so config sweeps and
     repeated backend runs over one trace pay it once)."""
-    key = (bool(conservative), start, end)
+    key = bool(conservative)
     cache = getattr(trace, "_vk_index", None)
     if cache is not None and key in cache:
         return cache[key]
-    index = _build_index(trace, conservative, start, end)
+    index = _build_index(trace, conservative)
     if cache is not None:
         cache[key] = index
     return index
@@ -332,23 +277,12 @@ def _profile_counts(plv) -> dict:
     return dict(zip(values.tolist(), counts.tolist()))
 
 
-def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
-             start: int, end: int, fr) -> Optional[dict]:
-    """Run records ``[start, end)`` vectorized.
-
-    With ``fr`` (a :class:`repro.core.stream.Frontier`) the incoming
-    state seeds the batch and the outgoing state is written back —
-    exactly :func:`repro.core.stream.advance`. With ``fr=None`` this is
-    a fresh whole-trace analysis and returns the raw result fields
-    (well export and per-record floors are skipped entirely).
-    """
+def _execute(trace, config: AnalysisConfig, segments: SegmentMap) -> AnalysisResult:
+    """One fresh whole-trace analysis, vectorized."""
     conservative = config.syscall_policy == CONSERVATIVE
     conservative_mem = config.memory_disambiguation == CONSERVATIVE_DISAMBIGUATION
-    collect_lifetimes = config.collect_lifetimes
-    export = fr is not None
-    generic_well = export and fr.kernel == KERNEL_GENERIC
 
-    index = _get_index(trace, conservative, start, end)
+    index = _get_index(trace, conservative)
     n = index["n"]
     ops = index["ops"]
     ordinary = index["ordinary"]
@@ -358,69 +292,20 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
     rename_regs = config.rename_registers
     rename_stack = config.rename_stack
     rename_data = config.rename_data
-    all_renamed = rename_regs and rename_stack and rename_data
-    stack_bound = MEM_BASE + segments.stack_floor
-    G = index["groups"]
     nwrites = index["nwrites"]
-
-    # Incoming state (fresh defaults when fr is None).
-    if export:
-        in_floor_m1 = fr.floor - 1
-        in_deepest = fr.deepest
-        in_mem_store = fr.mem_store_level
-        in_mem_acc = fr.mem_deepest_access
-        well = fr.well
-    else:
-        in_floor_m1 = -1
-        in_deepest = -1
-        in_mem_store = in_mem_acc = NEVER_USED
-        well = None
 
     lvl = _np.full(n, _NEG, dtype=_np.int64)
     C = _np.full(n, _NEG, dtype=_np.int64)
-
-    # Incoming well entries, one slot per in-batch location group.
-    g_loc_list = index["g_loc"].tolist() if export else None
-    g_in = None
-    if export and well and G:
-        get = well.get
-        entries = [get(loc) for loc in g_loc_list]
-        g_in = _np.array([e is not None for e in entries], dtype=bool)
-        if not g_in.any():
-            g_in = None
-    if g_in is not None:
-        if generic_well:
-            g_in_level = _np.fromiter(
-                (e[0] if e is not None else _NEG for e in entries),
-                dtype=_np.int64, count=G,
-            )
-            g_in_deep = _np.fromiter(
-                (e[1] if e is not None else NEVER_USED for e in entries),
-                dtype=_np.int64, count=G,
-            )
-            g_in_uses = _np.fromiter(
-                (e[2] if e is not None else 0 for e in entries),
-                dtype=_np.int64, count=G,
-            )
-            g_in_pre = _np.fromiter(
-                (bool(e[3]) if e is not None else False for e in entries),
-                dtype=bool, count=G,
-            )
-        else:
-            g_in_level = _np.fromiter(
-                (e if e is not None else _NEG for e in entries),
-                dtype=_np.int64, count=G,
-            )
 
     # -- dependence edges ----------------------------------------------------
     raw_dst = index["raw_dst"]
     e_src = [index["raw_src"]]
     e_dst = [raw_dst]
     e_w = [top[raw_dst]]
-    if not all_renamed:
+    if not (rename_regs and rename_stack and rename_data):
         war_loc = index["war_loc"]
         part_reg = war_loc < MEM_BASE
-        part_stack = war_loc >= stack_bound
+        part_stack = war_loc >= MEM_BASE + segments.stack_floor
         keep = _np.zeros(len(war_loc), dtype=bool)
         if not rename_regs:
             keep |= part_reg
@@ -454,59 +339,10 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
         e_src.append(memrec[ok2])
         e_dst.append(memrec[nxt[ok2]])
         e_w.append(_np.ones(int(ok2.sum()), dtype=_np.int64))
-        # Incoming memory levels constrain the batch's prefix: loads
-        # before the first in-batch store see the carried store level;
-        # the first store sees the carried deepest access (later stores
-        # are dominated via the in-batch chain).
-        if in_mem_store != NEVER_USED:
-            pre_loads = memrec[loads[lsel < 0]]
-            if len(pre_loads):
-                _np.maximum.at(C, pre_loads, in_mem_store + top[pre_loads])
-        if in_mem_acc != NEVER_USED:
-            stores = _np.nonzero(is_store)[0]
-            if len(stores):
-                first_store = int(memrec[stores[0]])
-                bound = in_mem_acc + 1
-                if bound > C[first_store]:
-                    C[first_store] = bound
 
     e_src = _np.concatenate(e_src)
     e_dst = _np.concatenate(e_dst)
     e_w = _np.concatenate(e_w)
-
-    # Incoming-well seeds: base reads start from the carried level; the
-    # first in-batch writer of a non-renamed location starts past the
-    # carried deepest use (python's WAR term against the incoming entry).
-    if g_in is not None:
-        base_rec = index["base_rec"]
-        if len(base_rec):
-            sel = g_in[index["base_grp"]]
-            if sel.any():
-                recs = base_rec[sel]
-                _np.maximum.at(
-                    C, recs, g_in_level[index["base_grp"][sel]] + top[recs]
-                )
-        if generic_well and not all_renamed:
-            fw = index["g_first_w_rec"]
-            gl = index["g_loc"]
-            preg = gl < MEM_BASE
-            pstk = gl >= stack_bound
-            nonren = _np.zeros(G, dtype=bool)
-            if not rename_regs:
-                nonren |= preg
-            if not rename_stack:
-                nonren |= pstk
-            if not rename_data:
-                nonren |= ~(preg | pstk)
-            cand = (
-                g_in
-                & (fw >= 0)
-                & (g_in_deep != NEVER_USED)
-                & nonren
-                & ~index["syscall"][_np.maximum(fw, 0)]
-            )
-            if cand.any():
-                _np.maximum.at(C, fw[cand], g_in_deep[cand] + 1)
 
     # -- block plan ----------------------------------------------------------
     # Span k is [los[k], cuts[k]): the records between two conservative
@@ -548,7 +384,6 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
     else:
         c_bounds = _np.zeros(nblocks + 1, dtype=_np.int64)
 
-    floorv = _np.empty(n, dtype=_np.int64) if export else None
     arange_n = _np.arange(n, dtype=_np.int64)
     mv_C = memoryview(C)
     mv_lvl = memoryview(lvl)
@@ -558,13 +393,11 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
     mv_ptr = memoryview(indptr)
     seed = _seed_frontier_batch  # late-bound for the mutation harness
 
-    floor_m1 = in_floor_m1
-    deepest = in_deepest
+    floor_m1 = -1
+    deepest = -1
     b = 0
     for lo, hi in zip(los, cuts):
         if lo < hi:
-            if floorv is not None:
-                floorv[lo:hi] = floor_m1
             recs = arange_n[lo:hi][ordinary[lo:hi]]
             if len(recs):
                 seed(C, recs, floor_m1 + top[recs])
@@ -626,154 +459,53 @@ def _execute(trace, config: AnalysisConfig, segments: SegmentMap,
             if low > level:
                 level = low
             lvl[hi] = level
-            if floorv is not None:
-                floorv[hi] = floor_m1
             deepest = level
             floor_m1 = level
 
     # -- stats ---------------------------------------------------------------
     placed_mask = index["placed_mask"]
-    placed = int(placed_mask.sum())
-    plv = lvl[placed_mask]
-    profile = _profile_counts(plv) if config.collect_profile else None
-    firewalls = len(sys_list)
-
-    # Token reductions: per-write uses/deepest-use, plus merged base
-    # tokens (incoming or first-touch entries and their pre-first-write
-    # reads) — everything lifetimes and the exported well need.
-    tok_uses = tok_deep = None
-    if collect_lifetimes or generic_well:
-        total = nwrites + G
-        read_tok = index["read_tok"]
-        tok_uses = _np.bincount(read_tok, minlength=total) if total else None
-        tok_deep = _np.full(total, NEVER_USED, dtype=_np.int64)
-        if len(read_tok):
-            _np.maximum.at(tok_deep, read_tok, lvl[index["read_rec"]])
-        if g_in is not None and generic_well:
-            tok_uses[nwrites:] += _np.where(g_in, g_in_uses, 0)
-            tok_deep[nwrites:] = _np.maximum(
-                tok_deep[nwrites:], _np.where(g_in, g_in_deep, NEVER_USED)
-            )
+    profile = None
+    if config.collect_profile:
+        profile = ParallelismProfile(_profile_counts(lvl[placed_mask]))
 
     lifetimes = None
-    if collect_lifetimes:
-        tok_rec = index["tok_rec"]
-        tok_def = lvl[tok_rec] if nwrites else _np.empty(0, dtype=_np.int64)
-        w_uses = tok_uses[:nwrites] if tok_uses is not None else tok_def
-        w_deep = tok_deep[:nwrites] if tok_deep is not None else tok_def
-        if export:
-            # Only tokens actually evicted in this batch: writes with a
-            # later write to the same location, plus incoming
-            # non-preexisting entries overwritten by the batch's first
-            # write. Entries still live stay in the well; finalize()
-            # flushes them.
-            evicted = ~index["tok_last"]
-            defs = [tok_def[evicted]]
-            deeps = [w_deep[evicted]]
-            uses = [w_uses[evicted]]
-            if g_in is not None:
-                ev_in = g_in & ~g_in_pre & (index["g_first_w_rec"] >= 0)
-                if ev_in.any():
-                    defs.append(g_in_level[ev_in])
-                    deeps.append(tok_deep[nwrites:][ev_in])
-                    uses.append(tok_uses[nwrites:][ev_in])
-            defs = _np.concatenate(defs)
-            deeps = _np.concatenate(deeps)
-            uses = _np.concatenate(uses)
-            if len(defs):
-                life = _np.where(uses > 0, deeps - defs, 0)
-                _hist_update(fr.life_hist, life)
-                _hist_update(fr.share_hist, uses)
-        else:
-            # Whole trace: every write token flushes (base tokens are
-            # preexisting first touches — never counted, matching the
-            # python kernels' entry[3] guard).
-            life_hist: dict = {}
-            share_hist: dict = {}
-            if nwrites:
-                life = _np.where(w_uses > 0, w_deep - tok_def, 0)
-                _hist_update(life_hist, life)
-                _hist_update(share_hist, w_uses)
-            lifetimes = LifetimeStats(
-                lifetime_histogram=life_hist,
-                sharing_histogram=share_hist,
-                values_created=sum(share_hist.values()),
-                total_uses=sum(u * c for u, c in share_hist.items()),
-            )
-
-    if not export:
-        return {
-            "records": n,
-            "placed": placed,
-            "deepest": deepest,
-            "profile": profile,
-            "syscalls": index["n_syscalls"],
-            "firewalls": firewalls,
-            "branches": index["branches"],
-            "peak": G,
-            "lifetimes": lifetimes,
-        }
-
-    # -- frontier export -----------------------------------------------------
-    if G:
-        g_last_tok = index["g_last_tok"]
-        has_w = g_last_tok >= 0
-        safe_tok = _np.maximum(g_last_tok, 0)
-        tok_rec = index["tok_rec"]
-        lvl_w = (
-            lvl[tok_rec[safe_tok]] if nwrites else _np.zeros(G, dtype=_np.int64)
+    if config.collect_lifetimes:
+        # Every write token flushes at the end of the trace; first-touch
+        # entries are preexisting and never counted (the python kernels'
+        # entry[3] guard), so only bound reads contribute.
+        life_hist: dict = {}
+        share_hist: dict = {}
+        if nwrites:
+            raw_tok = index["raw_tok"]
+            uses = _np.bincount(raw_tok, minlength=nwrites)
+            deep = _np.full(nwrites, NEVER_USED, dtype=_np.int64)
+            _np.maximum.at(deep, raw_tok, lvl[raw_dst])
+            life = _np.where(uses > 0, deep - lvl[index["tok_rec"]], 0)
+            _hist_update(life_hist, life)
+            _hist_update(share_hist, uses)
+        lifetimes = LifetimeStats(
+            lifetime_histogram=life_hist,
+            sharing_histogram=share_hist,
+            values_created=sum(share_hist.values()),
+            total_uses=sum(u * c for u, c in share_hist.items()),
         )
-        ft_level = floorv[index["g_first_rec"]]
-        if g_in is not None:
-            out_level = _np.where(
-                has_w, lvl_w, _np.where(g_in, g_in_level, ft_level)
-            )
-        else:
-            out_level = _np.where(has_w, lvl_w, ft_level)
-        if generic_well:
-            out_deep = _np.where(has_w, tok_deep[safe_tok], tok_deep[nwrites:])
-            out_uses = _np.where(has_w, tok_uses[safe_tok], tok_uses[nwrites:])
-            if g_in is not None:
-                out_pre = _np.where(has_w, False, _np.where(g_in, g_in_pre, True))
-            else:
-                out_pre = ~has_w
-            for loc, level, deep, use, pre in zip(
-                g_loc_list,
-                out_level.tolist(),
-                out_deep.tolist(),
-                out_uses.tolist(),
-                out_pre.tolist(),
-            ):
-                well[loc] = [level, deep, use, pre]
-        else:
-            for loc, level in zip(g_loc_list, out_level.tolist()):
-                well[loc] = level
 
-    fr.floor = floor_m1 + 1
-    fr.deepest = deepest
-    fr.records += n
-    fr.placed += placed
-    fr.syscalls += index["n_syscalls"]
-    fr.firewalls += firewalls
-    fr.branches += index["branches"]
-    if profile is not None and fr.profile is not None:
-        merged = fr.profile
-        get = merged.get
-        for level, count in profile.items():
-            merged[level] = get(level, 0) + count
-    if conservative_mem and len(memrec):
-        mem_levels = lvl[memrec]
-        deepest_access = int(mem_levels.max())
-        if deepest_access > fr.mem_deepest_access:
-            fr.mem_deepest_access = deepest_access
-        if is_store.any():
-            store_level = int(mem_levels[is_store].max())
-            if store_level > fr.mem_store_level:
-                fr.mem_store_level = store_level
-    return None
+    return AnalysisResult(
+        records_processed=n,
+        placed_operations=int(placed_mask.sum()),
+        critical_path_length=deepest + 1,
+        profile=profile,
+        syscalls=len(index["syscall_recs"]),
+        firewalls=len(sys_list),
+        branches=index["branches"],
+        mispredictions=0,
+        peak_live_well=index["groups"],
+        lifetimes=lifetimes,
+        config=config,
+    )
 
 
-# -- public entry points -----------------------------------------------------
+# -- public entry point ------------------------------------------------------
 
 
 def analyze_vectorized(
@@ -802,56 +534,15 @@ def analyze_vectorized(
     if segments is None:
         segments = getattr(trace, "segments", DEFAULT_SEGMENTS)
     if not _obs.enabled():
-        return _analyze(trace, config, segments)
+        return _execute(trace, config, segments)
     with _span("kernel.scan.vkernel"):
-        return _analyze(trace, config, segments)
-
-
-def _analyze(trace, config, segments) -> AnalysisResult:
-    out = _execute(trace, config, segments, 0, len(trace.opclass), None)
-    return AnalysisResult(
-        records_processed=out["records"],
-        placed_operations=out["placed"],
-        critical_path_length=out["deepest"] + 1,
-        profile=(
-            ParallelismProfile(out["profile"]) if config.collect_profile else None
-        ),
-        syscalls=out["syscalls"],
-        firewalls=out["firewalls"],
-        branches=out["branches"],
-        mispredictions=0,
-        peak_live_well=out["peak"],
-        lifetimes=out["lifetimes"],
-        config=config,
-    )
-
-
-def advance_batch(frontier, trace, start: int, end: int) -> bool:
-    """Vectorized :func:`repro.core.stream.advance` over ``[start, end)``.
-
-    Returns False — leaving the frontier untouched — when the batch
-    cannot run vectorized (NumPy absent, ineligible config, or columns
-    without a plain buffer); the caller then falls back to the python
-    per-record loops. On True the frontier state is exactly what the
-    python advance would have produced.
-    """
-    if _np is None:
-        return False
-    if not eligible(frontier.config):
-        return False
-    try:
-        memoryview(trace.opclass)
-    except TypeError:
-        return False
-    _execute(trace, frontier.config, frontier.segments, start, end, frontier)
-    return True
+        return _execute(trace, config, segments)
 
 
 __all__ = [
     "BACKENDS",
     "BACKEND_NUMPY",
     "BACKEND_PYTHON",
-    "advance_batch",
     "analyze_vectorized",
     "available",
     "eligible",

@@ -68,6 +68,16 @@ def outcome_row(outcome: JobOutcome) -> dict:
     }
 
 
+def _pending(snapshot: dict) -> bool:
+    """True when a registry snapshot recorded anything since its last
+    drain (drained instruments keep their names at zero)."""
+    return (
+        any(snapshot["counters"].values())
+        or any(snapshot["gauges"].values())
+        or any(dump["count"] for dump in snapshot["histograms"].values())
+    )
+
+
 class ExperimentEngine:
     """Job-based executor for experiment grids.
 
@@ -211,11 +221,21 @@ class ExperimentEngine:
         metrics deterministically — the graceful-shutdown paths (batch CLI
         signal handling, server drain) call it instead of trusting
         ``atexit``. Idempotent; the engine stays usable for trace reads
-        but must not run further grids afterwards."""
+        but must not run further grids afterwards.
+
+        Counters recorded after the last grid (Table 2's full runs, trace
+        loads outside any grid) are written as a final grid row with no
+        jobs, so a metrics file always carries everything the run
+        counted."""
         if self.journal is not None:
             self.journal.close()
+        if self.metrics and self.metrics_file is not None:
+            leftover = obs.registry().drain()
+            if _pending(leftover):
+                self._writer().write_grid(leftover, jobs=0)
         if self._metrics_writer is not None:
             self._metrics_writer.close()
+            self._metrics_writer = None
 
     # -- trace passthrough -------------------------------------------------
 

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict
 
-from repro.core.analyzer import analyze
+from repro.core.analyzer import BACKEND_PYTHON, BACKENDS, analyze
 from repro.core.config import AnalysisConfig
 from repro.core.reference import reference_analyze
 from repro.core.results import AnalysisResult
@@ -48,34 +48,34 @@ def _analyze_oracle(trace, config: AnalysisConfig) -> AnalysisResult:
     return oracle_analyze(trace, config)
 
 
-def _analyze_stream(trace, config: AnalysisConfig, backend: str = "python") -> AnalysisResult:
+def _analyze_stream(trace, config: AnalysisConfig) -> AnalysisResult:
     """Chunked streaming re-analysis: one frontier advanced over ~3 cuts
     (exercising resume-at-a-cut for every configuration). Late-binds
     through the module attribute so the harness can mutate it."""
     from repro.core import stream
 
     chunk = max(1, (len(trace) + 2) // 3)
-    return stream.stream_analyze_trace(trace, config, chunk_records=chunk, backend=backend)
+    return stream.stream_analyze_trace(trace, config, chunk_records=chunk)
 
 
-def _analyze_sharded(trace, config: AnalysisConfig, backend: str = "python") -> AnalysisResult:
+def _analyze_sharded(trace, config: AnalysisConfig) -> AnalysisResult:
     """Full shard machinery in-process over ~4 segments: fresh-frontier
     suffix summaries where the configuration allows splicing, prefix
     replay + stitch otherwise (see :mod:`repro.core.stream`)."""
     from repro.core import stream
 
     shard = max(1, (len(trace) + 3) // 4)
-    return stream.shard_analyze_trace(trace, config, shard_size=shard, backend=backend)
+    return stream.shard_analyze_trace(trace, config, shard_size=shard)
 
 
-def _analyze_segment(trace, config: AnalysisConfig, backend: str = "python"):
+def _analyze_segment(trace, config: AnalysisConfig):
     """Shard pass 1: treat the (segment) trace as standalone and summarize
     everything past its first conservative syscall from a fresh frontier.
     Returns a :class:`~repro.core.stream.SegmentSummary`, not an
     :class:`AnalysisResult` — the stitch pass splices it."""
     from repro.core import stream
 
-    return stream.summarize_segment(trace, config, backend=backend)
+    return stream.summarize_segment(trace, config)
 
 
 #: Analysis methods a job may request. Values take ``(trace, config)`` and
@@ -101,10 +101,6 @@ METHODS: Dict[str, Callable[[ColumnarTrace, AnalysisConfig], AnalysisResult]] = 
     "segment": _analyze_segment,
 }
 
-#: Methods whose callable accepts a ``backend=`` keyword (the rest are
-#: implementation-pinned and ignore the job's backend preference).
-_BACKEND_METHODS = frozenset({"forward", "stream", "sharded", "segment"})
-
 
 @dataclass(frozen=True)
 class AnalysisJob:
@@ -120,10 +116,11 @@ class AnalysisJob:
         optimize: analyze the compiler-optimized trace of the workload
             (the abl-compiler grid axis).
         backend: ``"python"`` (default) or ``"numpy"`` — the execution
-            strategy preference forwarded to backend-aware methods.
-            Never part of the job's :meth:`digest`: the backends are
-            bit-identical, so both spellings of a job share one cache
-            entry. Implementation-pinned methods ignore it.
+            strategy preference. Only ``forward`` (a whole-trace
+            ``analyze``) forwards it; every other method pins its own
+            implementation and ignores it. Never part of the job's
+            :meth:`digest`: the backends are bit-identical, so both
+            spellings of a job share one cache entry.
     """
 
     workload: str
@@ -131,7 +128,7 @@ class AnalysisJob:
     config: AnalysisConfig = field(default_factory=AnalysisConfig)
     method: str = "forward"
     optimize: bool = False
-    backend: str = "python"
+    backend: str = BACKEND_PYTHON
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -141,10 +138,10 @@ class AnalysisJob:
             )
         if self.cap < 1:
             raise ValueError(f"cap must be >= 1, got {self.cap}")
-        if self.backend not in ("python", "numpy"):
+        if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown analysis backend {self.backend!r}; "
-                "choose from python, numpy"
+                f"choose from {', '.join(BACKENDS)}"
             )
 
     # -- identity ----------------------------------------------------------
@@ -219,6 +216,6 @@ class AnalysisJob:
 
     def run(self, trace: ColumnarTrace) -> AnalysisResult:
         """Execute this job against an already-loaded trace."""
-        if self.backend != "python" and self.method in _BACKEND_METHODS:
-            return METHODS[self.method](trace, self.config, backend=self.backend)
+        if self.backend != BACKEND_PYTHON and self.method == "forward":
+            return METHODS["forward"](trace, self.config, backend=self.backend)
         return METHODS[self.method](trace, self.config)

@@ -135,9 +135,7 @@ class ShardTraceStore:
         return False
 
 
-def shard_grid(
-    manifest: TraceManifest, config: AnalysisConfig, backend: str = "python"
-) -> List[AnalysisJob]:
+def shard_grid(manifest: TraceManifest, config: AnalysisConfig) -> List[AnalysisJob]:
     """The pass-1 job grid: one ``method="segment"`` job per segment that
     has a syscall to cut at *and* records after it (a segment whose only
     records are its prefix has an empty suffix — nothing to summarize)."""
@@ -147,7 +145,6 @@ def shard_grid(
             cap=entry.count,
             config=config,
             method="segment",
-            backend=backend,
         )
         for entry in manifest.entries
         if entry.first_syscall >= 0 and entry.prefix_count < entry.count
@@ -159,7 +156,6 @@ def shard_analyze_file(
     config: Optional[AnalysisConfig] = None,
     shard_size: Optional[int] = None,
     engine=None,
-    backend: str = "python",
 ) -> AnalysisResult:
     """Analyze a PGT2 trace file with bounded memory, in parallel when
     possible.
@@ -176,12 +172,12 @@ def shard_analyze_file(
         config, shard_size if shard_size is not None else DEFAULT_SHARD_RECORDS
     )
     if engine is None or engine.jobs <= 1 or not splice_eligible(config):
-        return stream_analyze_file(path, config, chunk_records=size, backend=backend)
+        return stream_analyze_file(path, config, chunk_records=size)
 
     manifest = segment_manifest(path, size)
-    grid = shard_grid(manifest, config, backend)
+    grid = shard_grid(manifest, config)
     if len(manifest.entries) <= 1 or not grid:
-        return stream_analyze_file(path, config, chunk_records=size, backend=backend)
+        return stream_analyze_file(path, config, chunk_records=size)
 
     store = ShardTraceStore(path, manifest)
     outcomes = engine.run_grid_with_store(grid, store)
@@ -192,7 +188,7 @@ def shard_analyze_file(
         outcome.job.workload: outcome.result for outcome in outcomes
     }
 
-    fr = new_frontier(config, manifest.segments, backend)
+    fr = new_frontier(config, manifest.segments)
     for entry in manifest.entries:
         name = shard_workload_name(manifest.trace_digest, entry.index)
         summary = summaries.get(name)

@@ -17,7 +17,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.core.analyzer import analyze
+from repro.core.analyzer import BACKEND_PYTHON, BACKENDS, analyze
 from repro.core.config import AnalysisConfig
 from repro.engine import ExperimentEngine, console_listener
 from repro.harness.experiments import EXPERIMENTS, run_experiment
@@ -372,12 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     adhoc.add_argument(
         "--backend",
-        choices=["python", "numpy"],
-        default="python",
+        choices=BACKENDS,
+        default=BACKEND_PYTHON,
         help="analysis backend: 'numpy' evaluates the placement rule over "
-        "level-frontier batches when NumPy is available and the "
-        "configuration is eligible, falling back to the python loops "
-        "otherwise (identical results either way; default: python)",
+        "level-frontier batches of the whole trace when NumPy is available "
+        "and the configuration is eligible, falling back to the python "
+        "loops otherwise (identical results either way; whole-trace only, "
+        "so not with --stream; default: python)",
     )
     adhoc.add_argument("--window", type=int, default=None)
     adhoc.add_argument(
@@ -550,14 +551,12 @@ def _analyze_streamed(args, config: AnalysisConfig, is_file: bool):
                 config,
                 chunk_records=args.shard_size or DEFAULT_CHUNK_RECORDS,
                 cap=args.cap,
-                backend=args.backend,
             )
         return shard_analyze_file(
             args.workload,
             config,
             shard_size=args.shard_size,
             engine=engine,
-            backend=args.backend,
         )
     from repro.trace.io import write_trace_file
 
@@ -572,7 +571,6 @@ def _analyze_streamed(args, config: AnalysisConfig, is_file: bool):
             config,
             shard_size=args.shard_size,
             engine=engine,
-            backend=args.backend,
         )
 
 
@@ -622,7 +620,8 @@ def _command_analyze(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         return _command_list()
     if args.command == "run":
@@ -650,6 +649,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 1
         return 0
+    if args.stream and args.backend != BACKEND_PYTHON:
+        parser.error(
+            f"analyze --stream cannot use --backend {args.backend}: the "
+            f"{args.backend} backend runs whole-trace analyses only"
+        )
     return _command_analyze(args)
 
 

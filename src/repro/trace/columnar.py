@@ -139,8 +139,8 @@ class ColumnarTrace:
         self._operand_tuples = None
         self._shm = None
         self._views = ()
-        # Batch access-index cache for the vectorized backend
-        # (repro.core.vkernels), keyed by (conservative, start, end).
+        # Access-index cache for the vectorized backend
+        # (repro.core.vkernels), keyed by syscall policy.
         self._vk_index: dict = {}
 
     # -- construction ------------------------------------------------------

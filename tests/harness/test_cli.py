@@ -81,6 +81,21 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "records=300" in out
 
+    def test_stream_rejects_numpy_backend(self, capsys):
+        """The numpy backend runs whole-trace analyses only; asking it to
+        stream is a usage error, not a silent python run."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "xlispx", "--cap", "300", "--stream", "--backend", "numpy"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "whole-trace analyses only" in err
+
+    def test_stream_with_python_backend_runs(self, capsys):
+        code = main(["analyze", "xlispx", "--cap", "300", "--stream", "--backend", "python"])
+        assert code == 0
+        assert "records=300" in capsys.readouterr().out
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):

@@ -25,3 +25,26 @@ def test_imports_with_stdlib_only():
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
+
+
+def test_backend_names_do_not_load_the_vectorized_backend():
+    """Jobs and the CLI check backend names against
+    ``repro.core.analyzer.BACKENDS``; only an actual numpy analysis loads
+    :mod:`repro.core.vkernels`."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.engine.jobs, repro.harness.cli; "
+            "from repro.engine.jobs import AnalysisJob; "
+            "AnalysisJob('w', 1, backend='numpy'); "
+            "print('repro.core.vkernels' in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"

@@ -14,7 +14,7 @@ from repro.engine.resilience import ENV_MANIFEST_DIR
 from repro.harness.runner import TraceStore
 from repro.obs import metrics as obs
 from repro.obs.export import load_run
-from repro.obs.report import render_run_report, report_run
+from repro.obs.report import merged_registry, render_run_report, report_run
 
 CAP = 1500
 
@@ -136,6 +136,30 @@ class TestMetricsFile:
         statuses = [row["status"] for row in run["jobs"]]
         assert statuses.count("ok") == len(grid())
         assert statuses.count("cached") == len(grid())
+
+    def test_close_exports_counters_recorded_after_the_last_grid(self, tmp_path):
+        """Work outside any grid (Table 2's full runs) still reaches the
+        file: close() writes the leftover counters as a job-less row."""
+        engine = engine_for(tmp_path, jobs=1)
+        engine.run_grid(grid())
+        obs.inc("trace_store.full_run_simulate", 3)
+        engine.close()
+        run = load_run(engine.metrics_file)
+        assert run["grids"][-1]["jobs"] == 0
+        totals = merged_registry(run).snapshot()["counters"]
+        assert totals["trace_store.full_run_simulate"] == 3
+        engine.close()  # idempotent: nothing pending, no second row
+        assert len(load_run(engine.metrics_file)["grids"]) == len(run["grids"])
+
+    def test_close_writes_a_run_with_no_grid(self, tmp_path):
+        path = str(tmp_path / "t2.jsonl")
+        engine = ExperimentEngine(metrics=True, metrics_path=path)
+        obs.inc("trace_store.full_run_simulate")
+        engine.close()
+        run = load_run(path)
+        assert run["grids"][0]["registry"]["counters"] == {
+            "trace_store.full_run_simulate": 1
+        }
 
     def test_metrics_off_writes_nothing(self, tmp_path):
         engine = ExperimentEngine(
