@@ -34,7 +34,7 @@ class StatementLevelResult:
     statements_placed: int
     instructions_placed: int
     critical_path_length: int
-    profile: ParallelismProfile
+    profile: Optional[ParallelismProfile]  # None unless collect_profile
 
     @property
     def average_parallelism(self) -> float:
@@ -58,9 +58,10 @@ def statement_parallelism(
 ) -> StatementLevelResult:
     """Analyze at statement granularity (unit latency per statement).
 
-    Only the syscall policy of ``config`` is honoured (Kumar's model has
-    no storage-dependency or window switches; renaming is implicitly full,
-    matching his dataflow formulation).
+    Only the syscall policy and ``collect_profile`` of ``config`` are
+    honoured (Kumar's model has no storage-dependency or window switches;
+    renaming is implicitly full, matching his dataflow formulation).
+    Without ``collect_profile`` the result's ``profile`` is ``None``.
     """
     if config is None:
         config = AnalysisConfig()
@@ -70,7 +71,7 @@ def statement_parallelism(
     syscall = int(OpClass.SYSCALL)
 
     level = {}
-    profile = ParallelismProfile()
+    profile = ParallelismProfile() if config.collect_profile else None
     floor = 0
     deepest = -1
     statements = 0
@@ -94,7 +95,8 @@ def statement_parallelism(
                 available = src_level
         node_level = available + 1
         statements += 1
-        profile.add(node_level)
+        if profile is not None:
+            profile.add(node_level)
         if node_level > deepest:
             deepest = node_level
         for dest in group_writes:
@@ -114,7 +116,8 @@ def statement_parallelism(
                 continue
             node_level = max(deepest + 1, floor)
             statements += 1
-            profile.add(node_level)
+            if profile is not None:
+                profile.add(node_level)
             if node_level > deepest:
                 deepest = node_level
             floor = node_level + 1

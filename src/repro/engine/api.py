@@ -19,7 +19,6 @@ import tempfile
 from typing import List, Optional, Sequence, Union
 
 from repro.core.config import AnalysisConfig
-from repro.core.results import AnalysisResult
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import AnalysisJob
 from repro.engine.pool import JobFailedError, JobOutcome, execute_jobs
@@ -35,6 +34,7 @@ from repro.engine.resilience import (
     execute_jobs_resilient,
     new_run_id,
 )
+from repro.engine.serialize import JobResult
 from repro.obs import metrics as obs
 from repro.obs.export import MetricsWriter
 from repro.obs.export import metrics_path as default_metrics_path
@@ -282,7 +282,7 @@ class ExperimentEngine:
             self._export_grid(outcomes)
         return outcomes
 
-    def analyze_grid(self, grid: Sequence[AnalysisJob]) -> List[AnalysisResult]:
+    def analyze_grid(self, grid: Sequence[AnalysisJob]) -> List[JobResult]:
         """Execute a grid strictly: results in submission order, or
         :class:`JobFailedError` listing every failed job."""
         outcomes = self.run_grid(grid)
@@ -298,7 +298,7 @@ class ExperimentEngine:
         config: Optional[AnalysisConfig] = None,
         method: str = "forward",
         optimize: bool = False,
-    ) -> AnalysisResult:
+    ) -> JobResult:
         """One analysis, in-process, through the result cache."""
         name = workload if isinstance(workload, str) else workload.name
         job = AnalysisJob(

@@ -30,9 +30,8 @@ import tempfile
 import time
 from typing import List, Optional, Tuple
 
-from repro.core.results import AnalysisResult
 from repro.engine.jobs import AnalysisJob
-from repro.engine.serialize import result_from_dict, result_to_dict
+from repro.engine.serialize import JobResult, result_from_dict, result_to_dict
 from repro.obs import metrics as obs
 
 logger = logging.getLogger(__name__)
@@ -72,7 +71,12 @@ EVICT_LOCK_STALE = 30.0
 
 
 class ResultCache:
-    """Directory of cached :class:`AnalysisResult` values.
+    """Directory of cached job results: :class:`AnalysisResult` values
+    and the ``__kind__``-tagged payloads of the other job methods —
+    shard :class:`~repro.core.stream.SegmentSummary` values and the
+    prior-work baselines' :class:`~repro.baselines.AverageOnlyResult` and
+    :class:`~repro.baselines.StatementLevelResult` (see
+    :mod:`repro.engine.serialize`).
 
     Attributes:
         max_bytes: optional size budget; stores past the budget evict
@@ -119,7 +123,7 @@ class ResultCache:
                 "quarantined corrupt result-cache entry %s (%s)", path, error
             )
 
-    def load(self, key: str) -> Optional[AnalysisResult]:
+    def load(self, key: str) -> Optional[JobResult]:
         """The cached result for ``key``, or ``None`` on any kind of miss."""
         path = self._path(key)
         try:
@@ -146,7 +150,7 @@ class ResultCache:
                 pass  # evicted under us; the result in hand is still good
         return result
 
-    def store(self, key: str, trace_digest: str, job: AnalysisJob, result: AnalysisResult) -> None:
+    def store(self, key: str, trace_digest: str, job: AnalysisJob, result: JobResult) -> None:
         """Persist one result atomically. The job spec and trace digest are
         stored alongside the payload for debuggability (``jq`` a cache entry
         to see exactly what produced it)."""

@@ -15,7 +15,8 @@ so identical work is never recomputed — across processes or across runs.
 Every method takes the same input, a
 :class:`~repro.trace.columnar.ColumnarTrace`: the frontier methods advance
 over its columns, and the checkers (``twopass``, ``reference``,
-``oracle``) iterate its records.
+``oracle``) and the prior-work baselines (``average_only``,
+``statement``) iterate its records.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
+from repro.baselines.average_only import average_parallelism
+from repro.baselines.kumar import statement_parallelism
 from repro.core.analyzer import BACKEND_PYTHON, BACKENDS, analyze
 from repro.core.config import AnalysisConfig
 from repro.core.reference import reference_analyze
@@ -78,19 +81,24 @@ def _analyze_segment(trace, config: AnalysisConfig):
     return stream.summarize_segment(trace, config)
 
 
-#: Analysis methods a job may request. Values take ``(trace, config)`` and
-#: return an :class:`AnalysisResult`. ``forward`` and ``twopass`` are the
-#: production pair (identical results except ``peak_live_well``, see
-#: :mod:`repro.core.twopass`); the rest pin one implementation each for
-#: the differential verification harness (:mod:`repro.verify`) —
-#: ``reference`` (readable live-well pass) and ``oracle`` (explicit DDG +
-#: longest path; sentinel ``firewalls``/``peak_live_well``). ``stream``
-#: and ``sharded`` run the bounded-memory chunk/shard machinery of
-#: :mod:`repro.core.stream` (results identical to ``forward``); ``segment``
-#: is the shard pass-1 worker method and returns a
-#: :class:`~repro.core.stream.SegmentSummary` instead of a result;
-#: ``vkernel`` pins the vectorized NumPy backend for the same harness.
-METHODS: Dict[str, Callable[[ColumnarTrace, AnalysisConfig], AnalysisResult]] = {
+#: Analysis methods a job may request. Values take ``(trace, config)``;
+#: most return an :class:`AnalysisResult`. ``forward`` and ``twopass`` are
+#: the production pair (identical results except ``peak_live_well``, see
+#: :mod:`repro.core.twopass`); ``reference``, ``oracle`` and ``vkernel``
+#: pin one implementation each for the differential verification harness
+#: (:mod:`repro.verify`) — ``reference`` (readable live-well pass),
+#: ``oracle`` (explicit DDG + longest path; sentinel
+#: ``firewalls``/``peak_live_well``) and the vectorized NumPy backend.
+#: ``stream`` and ``sharded`` run the bounded-memory chunk/shard machinery
+#: of :mod:`repro.core.stream` (results identical to ``forward``). Three
+#: return other payloads, each with its own tagged encoding in
+#: :mod:`repro.engine.serialize`: ``segment`` (the shard pass-1 worker
+#: method) returns a :class:`~repro.core.stream.SegmentSummary`, and the
+#: prior-work baselines of :mod:`repro.baselines` return an
+#: :class:`~repro.baselines.average_only.AverageOnlyResult`
+#: (``average_only``) or a
+#: :class:`~repro.baselines.kumar.StatementLevelResult` (``statement``).
+METHODS: Dict[str, Callable[[ColumnarTrace, AnalysisConfig], Any]] = {
     "forward": analyze,
     "twopass": twopass_analyze,
     "vkernel": _analyze_vkernel,
@@ -99,6 +107,8 @@ METHODS: Dict[str, Callable[[ColumnarTrace, AnalysisConfig], AnalysisResult]] = 
     "stream": _analyze_stream,
     "sharded": _analyze_sharded,
     "segment": _analyze_segment,
+    "average_only": average_parallelism,
+    "statement": statement_parallelism,
 }
 
 
@@ -112,7 +122,8 @@ class AnalysisJob:
         config: the Paragraph configuration to analyze under.
         method: ``"forward"`` (streaming, method 2), ``"twopass"``
             (reverse-annotated, method 1), or one of the pinned
-            verification methods in :data:`METHODS`.
+            verification methods or prior-work baselines in
+            :data:`METHODS`.
         optimize: analyze the compiler-optimized trace of the workload
             (the abl-compiler grid axis).
         backend: ``"python"`` (default) or ``"numpy"`` — the execution
@@ -214,8 +225,9 @@ class AnalysisJob:
         jobs sharing a trace key share one cached trace load per worker."""
         return (self.workload, self.cap, self.optimize)
 
-    def run(self, trace: ColumnarTrace) -> AnalysisResult:
-        """Execute this job against an already-loaded trace."""
+    def run(self, trace: ColumnarTrace):
+        """Execute this job against an already-loaded trace; returns what
+        its :data:`METHODS` entry returns."""
         if self.backend != BACKEND_PYTHON and self.method == "forward":
             return METHODS["forward"](trace, self.config, backend=self.backend)
         return METHODS[self.method](trace, self.config)

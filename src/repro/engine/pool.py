@@ -39,7 +39,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.results import AnalysisResult
 from repro.engine import faults
 from repro.engine.cache import ResultCache, cache_key
 from repro.engine.jobs import AnalysisJob
@@ -51,7 +50,7 @@ from repro.engine.progress import (
     JobEvent,
     ProgressListener,
 )
-from repro.engine.serialize import result_from_dict, result_to_dict
+from repro.engine.serialize import JobResult, result_from_dict, result_to_dict
 from repro.obs import metrics as obs
 from repro.obs.spans import span
 from repro.trace.columnar import ColumnarTrace
@@ -121,7 +120,7 @@ class JobOutcome:
 
     index: int
     job: AnalysisJob
-    result: Optional[AnalysisResult] = None
+    result: Optional[JobResult] = None
     error: Optional[str] = None
     detail: Optional[str] = None
     seconds: float = 0.0
@@ -359,7 +358,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
 
 def _cache_lookup(
     result_cache: Optional[ResultCache], trace_digest: str, job: AnalysisJob
-) -> Tuple[Optional[str], Optional[AnalysisResult]]:
+) -> Tuple[Optional[str], Optional[JobResult]]:
     if result_cache is None:
         return None, None
     key = cache_key(trace_digest, job)

@@ -1,6 +1,8 @@
 """Exact JSON serialization of analysis results.
 
-The engine moves :class:`~repro.core.results.AnalysisResult` values across
+The engine moves :class:`~repro.core.results.AnalysisResult` values (and
+the other payloads a job method may return: shard segment summaries and
+the prior-work baseline results, each tagged with ``__kind__``) across
 two boundaries — worker process -> parent, and result cache -> later runs —
 and the determinism contract is *byte identity*: a grid run with ``--jobs 4``
 or a warm cache must reproduce the serial path exactly. Every field is
@@ -13,8 +15,10 @@ dependent.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
+from repro.baselines.average_only import AverageOnlyResult
+from repro.baselines.kumar import StatementLevelResult
 from repro.core.config import AnalysisConfig
 from repro.core.lifetimes import LifetimeStats
 from repro.core.profile import ParallelismProfile
@@ -24,6 +28,14 @@ from repro.core.stream import SegmentSummary
 #: Type tag marking a serialized :class:`SegmentSummary` (shard pass-1
 #: payload) apart from a plain analysis result.
 SEGMENT_SUMMARY_KIND = "segment_summary"
+#: Type tags of the prior-work baseline results (:mod:`repro.baselines`).
+AVERAGE_ONLY_KIND = "average_only"
+STATEMENT_LEVEL_KIND = "statement_level"
+
+#: Every payload a job method returns (see
+#: :data:`repro.engine.jobs.METHODS`); all but :class:`AnalysisResult`
+#: encode with a ``__kind__`` tag.
+JobResult = Union[AnalysisResult, SegmentSummary, AverageOnlyResult, StatementLevelResult]
 
 
 def _histogram_to_pairs(histogram: Dict[int, int]) -> List[List[int]]:
@@ -135,16 +147,31 @@ def segment_summary_from_dict(data: dict) -> SegmentSummary:
     )
 
 
-def result_to_dict(result) -> dict:
+def result_to_dict(result: JobResult) -> dict:
     """Encode a result (and the config that produced it) as JSON-safe data.
 
-    Accepts either payload type the engine ships across its process and
-    cache boundaries: a whole-trace :class:`AnalysisResult` or a shard
-    job's :class:`SegmentSummary` (tagged with ``__kind__`` so the decoder
-    can tell them apart).
+    Accepts every payload type the engine ships across its process and
+    cache boundaries: a whole-trace :class:`AnalysisResult`, or — tagged
+    with ``__kind__`` so the decoder can tell them apart — a shard job's
+    :class:`SegmentSummary`, an :class:`AverageOnlyResult` or a
+    :class:`StatementLevelResult`.
     """
     if isinstance(result, SegmentSummary):
         return segment_summary_to_dict(result)
+    if isinstance(result, AverageOnlyResult):
+        return {
+            "__kind__": AVERAGE_ONLY_KIND,
+            "placed_operations": result.placed_operations,
+            "critical_path_length": result.critical_path_length,
+        }
+    if isinstance(result, StatementLevelResult):
+        return {
+            "__kind__": STATEMENT_LEVEL_KIND,
+            "statements_placed": result.statements_placed,
+            "instructions_placed": result.instructions_placed,
+            "critical_path_length": result.critical_path_length,
+            "profile": profile_to_dict(result.profile),
+        }
     return {
         "records_processed": result.records_processed,
         "placed_operations": result.placed_operations,
@@ -160,10 +187,23 @@ def result_to_dict(result) -> dict:
     }
 
 
-def result_from_dict(data: dict):
+def result_from_dict(data: dict) -> JobResult:
     """Inverse of :func:`result_to_dict` (type-dispatched on ``__kind__``)."""
-    if data.get("__kind__") == SEGMENT_SUMMARY_KIND:
+    kind = data.get("__kind__")
+    if kind == SEGMENT_SUMMARY_KIND:
         return segment_summary_from_dict(data)
+    if kind == AVERAGE_ONLY_KIND:
+        return AverageOnlyResult(
+            placed_operations=data["placed_operations"],
+            critical_path_length=data["critical_path_length"],
+        )
+    if kind == STATEMENT_LEVEL_KIND:
+        return StatementLevelResult(
+            statements_placed=data["statements_placed"],
+            instructions_placed=data["instructions_placed"],
+            critical_path_length=data["critical_path_length"],
+            profile=profile_from_dict(data["profile"]),
+        )
     return AnalysisResult(
         records_processed=data["records_processed"],
         placed_operations=data["placed_operations"],
@@ -179,7 +219,7 @@ def result_from_dict(data: dict):
     )
 
 
-def result_to_bytes(result) -> bytes:
+def result_to_bytes(result: JobResult) -> bytes:
     """Canonical byte encoding (the form the determinism tests compare)."""
     return json.dumps(
         result_to_dict(result), sort_keys=True, separators=(",", ":")

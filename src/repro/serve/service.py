@@ -241,6 +241,24 @@ class ServeStore:
         return self._base.full_run_length(workload)
 
 
+#: Headline numbers a finished job's status carries — whichever of them
+#: its result has. An :class:`~repro.core.results.AnalysisResult` has all
+#: but ``average_parallelism``, the prior-work baselines report
+#: ``average_parallelism`` in place of ``available_parallelism``, and a
+#: shard segment summary has none of them.
+SUMMARY_FIELDS = (
+    "available_parallelism",
+    "average_parallelism",
+    "critical_path_length",
+    "placed_operations",
+)
+
+
+def result_summary(result) -> dict:
+    """The :data:`SUMMARY_FIELDS` ``result`` has, by name."""
+    return {name: getattr(result, name) for name in SUMMARY_FIELDS if hasattr(result, name)}
+
+
 def job_from_spec(spec: dict, store: Optional[ServeStore] = None) -> AnalysisJob:
     """Build an :class:`AnalysisJob` from a submission spec dict.
 
@@ -577,11 +595,7 @@ class AnalysisService:
             if status in ("cached", "replayed"):
                 self._bump(status)
             record.result = result_to_dict(outcome.result)
-            record.summary = summary = {
-                "available_parallelism": outcome.result.available_parallelism,
-                "critical_path_length": outcome.result.critical_path_length,
-                "placed_operations": outcome.result.placed_operations,
-            }
+            record.summary = summary = result_summary(outcome.result)
             record.finish(
                 DONE,
                 status,

@@ -421,7 +421,7 @@ def iter_chunks(
                                     "file is stale or corrupted"
                                 )
                         obs.inc("trace_stream.chunks")
-                        if _io._np is not None:
+                        if _io._numpy() is not None:
                             columns = _io.gather_columns(chunk_view, heads, chunk_count)
                         else:
                             columns = scan_columns(bytes(chunk_view), chunk_count)

@@ -47,10 +47,24 @@ from typing import BinaryIO, Iterable, Tuple
 from repro.trace.record import TraceRecord
 from repro.trace.segments import SegmentMap
 
-try:  # Optional extra: decode falls back to the pure-python scan without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+_UNRESOLVED = object()
+#: NumPy (an optional extra) once :func:`_numpy` has looked for it, ``None``
+#: when it is missing. Resolved on the first vectorized decode, not at
+#: import, so starting the CLI does not pay for importing NumPy.
+_np = _UNRESOLVED
+
+
+def _numpy():
+    """The NumPy module, or ``None`` without it (decode then falls back
+    to the pure-python scan)."""
+    global _np
+    if _np is _UNRESOLVED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
+            numpy = None
+        _np = numpy
+    return _np
 
 MAGIC = b"PGT2"
 #: Magic of the pre-digest format, recognized only to give a clear error.
@@ -293,6 +307,7 @@ def gather_columns(payload, heads, count: int):
     stream (records are ``8 + 4k`` bytes), so one ``frombuffer`` u32 view
     serves all of them.
     """
+    _np = _numpy()
     u32 = _np.frombuffer(payload, dtype="<u4", count=heads[count] >> 2)
     hw = _np.asarray(heads[:count], dtype=_np.int64) >> 2
     w0 = u32[hw] if count else u32[:0]
@@ -344,7 +359,7 @@ def scan_columns_fast(payload, count: int):
     columns, error behavior (truncation, trailing bytes) — to the
     pure-python scan, which it silently falls back to without NumPy.
     """
-    if _np is None or len(payload) % 4:
+    if _numpy() is None or len(payload) % 4:
         # A valid stream is always a multiple of 4 bytes; a ragged tail
         # means truncation, which the reference scan reports precisely.
         return scan_columns(payload, count)

@@ -68,6 +68,35 @@ class TestGrouping:
         assert optimistic.critical_path_length == 1
 
 
+class TestCollectProfile:
+    def trace(self):
+        builder = TraceBuilder()
+        builder.op(OpClass.IALU, (1,), (), aux=0)
+        builder.op(OpClass.IALU, (2,), (1,), aux=1)
+        builder.syscall()
+        builder.op(OpClass.IALU, (3,), (), aux=2)
+        return builder.build()
+
+    def test_profile_collected_by_default(self):
+        result = statement_parallelism(self.trace())
+        assert result.profile is not None
+        assert sum(result.profile.counts.values()) == result.statements_placed
+
+    def test_profile_off_keeps_every_other_number(self):
+        collected = statement_parallelism(self.trace())
+        skipped = statement_parallelism(self.trace(), AnalysisConfig(collect_profile=False))
+        assert skipped.profile is None
+        assert (
+            skipped.statements_placed,
+            skipped.instructions_placed,
+            skipped.critical_path_length,
+        ) == (
+            collected.statements_placed,
+            collected.instructions_placed,
+            collected.critical_path_length,
+        )
+
+
 class TestAgainstInstructionLevel:
     def test_statement_ap_below_instruction_op_rate(self):
         # Instruction-level analysis sees parallelism *within* statements;

@@ -129,6 +129,8 @@ class TestMethods:
             "stream",
             "sharded",
             "segment",
+            "average_only",
+            "statement",
         }
 
     @pytest.mark.parametrize(

@@ -6,6 +6,12 @@ import random
 
 import pytest
 
+from repro.baselines import (
+    AverageOnlyResult,
+    StatementLevelResult,
+    average_parallelism,
+    statement_parallelism,
+)
 from repro.core.analyzer import analyze
 from repro.core.config import AnalysisConfig
 from repro.core.latency import LatencyTable
@@ -67,6 +73,47 @@ class TestRoundTrip:
         assert result_to_bytes(result) == result_to_bytes(
             result_from_dict(result_to_dict(result))
         )
+
+
+class TestBaselineRoundTrip:
+    """The prior-work baselines' results cross the pool, the result cache
+    and the run journal as ``__kind__``-tagged payloads."""
+
+    @pytest.mark.parametrize(
+        "baseline, config",
+        [
+            (average_parallelism, AnalysisConfig()),
+            (statement_parallelism, AnalysisConfig()),
+            (statement_parallelism, AnalysisConfig(collect_profile=False)),
+        ],
+        ids=["average-only", "statement", "statement-no-profile"],
+    )
+    def test_round_trip_is_byte_exact(self, trace, baseline, config):
+        result = baseline(trace, config)
+        encoded = result_to_bytes(result)
+        restored = result_from_dict(json.loads(encoded))
+        assert type(restored) is type(result)
+        assert result_to_bytes(restored) == encoded
+        assert restored.average_parallelism == result.average_parallelism
+
+    def test_kinds_are_tagged(self, trace):
+        assert result_to_dict(average_parallelism(trace))["__kind__"] == "average_only"
+        assert result_to_dict(statement_parallelism(trace))["__kind__"] == "statement_level"
+        assert "__kind__" not in result_to_dict(analyze(trace, AnalysisConfig()))
+
+    def test_statement_profile_survives_exactly(self, trace):
+        result = statement_parallelism(trace)
+        restored = result_from_dict(result_to_dict(result))
+        assert isinstance(restored, StatementLevelResult)
+        assert restored.profile.counts == result.profile.counts
+
+    def test_no_records_processed(self, trace):
+        """Record counters read ``records_processed`` with a default of 0;
+        a baseline job must not count records it did not analyze."""
+        for result in (average_parallelism(trace), statement_parallelism(trace)):
+            restored = result_from_dict(result_to_dict(result))
+            assert isinstance(restored, (AverageOnlyResult, StatementLevelResult))
+            assert not hasattr(restored, "records_processed")
 
 
 def _config_round_trip(config: AnalysisConfig) -> AnalysisConfig:

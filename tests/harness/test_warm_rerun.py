@@ -2,9 +2,10 @@
 
 A cold cap-300 run fills a trace directory and a result cache. A second
 run, with a fresh store and cache on the same directories and simulation
-patched to raise, must reproduce every output: traces decode from disk,
-Table 2's full-run lengths come from their sidecars, and every analysis is
-a result-cache hit.
+and the prior-work baselines patched to raise, must reproduce every
+output: traces decode from disk, Table 2's full-run lengths come from
+their sidecars, and every analysis — abl-baselines' baselines included —
+is a result-cache hit.
 """
 
 import csv
@@ -13,7 +14,9 @@ import io
 import pytest
 
 from repro.engine import ExperimentEngine
+from repro.engine import jobs
 from repro.engine.cache import ResultCache
+from repro.harness import experiments
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 from repro.harness.runner import TraceStore
 from repro.workloads.base import Workload
@@ -60,6 +63,21 @@ def masked(name, text):
     return rows
 
 
+def no_baselines(monkeypatch):
+    """Make both prior-work baselines raise, as job methods and as the
+    functions the harness module holds."""
+
+    def no_baseline(*args, **kwargs):
+        raise AssertionError("a warm run computed a prior-work baseline")
+
+    for method, name in (
+        ("average_only", "average_parallelism"),
+        ("statement", "statement_parallelism"),
+    ):
+        monkeypatch.setitem(jobs.METHODS, method, no_baseline)
+        monkeypatch.setattr(experiments, name, no_baseline)
+
+
 @pytest.fixture(scope="module")
 def cold(tmp_path_factory):
     """One cold run: the directories it filled, its files and its spy."""
@@ -77,6 +95,7 @@ def test_warm_rerun_is_pure_cache_reads(cold, monkeypatch):
         raise AssertionError("a warm run simulated a workload")
 
     monkeypatch.setattr(Workload, "run", no_simulation)
+    no_baselines(monkeypatch)
     cache = ResultCache(cache_dir)
     warm_files = reproduce(SpyEngine(store=TraceStore(trace_dir), result_cache=cache))
     assert cache.misses == 0
@@ -91,10 +110,21 @@ def test_warm_rerun_is_pure_cache_reads(cold, monkeypatch):
             assert warm_files[name] == text, name
 
 
+def test_warm_baselines_are_cache_hits(cold, monkeypatch):
+    trace_dir, cache_dir, cold_files, _ = cold
+    no_baselines(monkeypatch)
+    cache = ResultCache(cache_dir)
+    engine = ExperimentEngine(store=TraceStore(trace_dir), result_cache=cache)
+    output = run_experiment("abl-baselines", engine, CAP)
+    # 10 workloads x (Paragraph, average-only, statement-level)
+    assert (cache.hits, cache.misses) == (30, 0)
+    assert output.tables[0].to_csv() + "\n" == cold_files["abl-baselines.csv"]
+
+
 def test_only_fig7_jobs_collect_profiles(cold):
     jobs = cold[3].jobs_by_experiment
     assert jobs["fig7"] and all(job.config.collect_profile for job in jobs["fig7"])
     others = {name: grid for name, grid in jobs.items() if name != "fig7"}
-    assert {"table3", "abl-twopass", "abl-compiler", "machines"} <= set(others)
+    assert {"table3", "abl-twopass", "abl-baselines", "abl-compiler", "machines"} <= set(others)
     for name, grid in others.items():
         assert not any(job.config.collect_profile for job in grid), name

@@ -48,3 +48,23 @@ def test_backend_names_do_not_load_the_vectorized_backend():
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_numpy():
+    """NumPy is loaded by the first vectorized decode or analysis, not by
+    starting the CLI (``repro.trace.io`` resolves it lazily)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.harness.cli, repro.engine.jobs; "
+            "print('numpy' in sys.modules)",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"

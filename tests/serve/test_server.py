@@ -69,6 +69,23 @@ class TestSubmitPollResult:
             expected["placed_operations"] / expected["critical_path_length"]
         )
 
+    def test_baseline_method_result_is_tagged(self, client):
+        record = client.wait(client.submit(_spec(method="statement"))[0]["id"])
+        assert record["state"] == "done"
+        from repro.engine import AnalysisJob
+        from repro.engine.serialize import result_to_dict
+
+        (outcome,) = ExperimentEngine().run_grid([AnalysisJob("xlispx", CAP, method="statement")])
+        expected = result_to_dict(outcome.result)
+        assert record["result"]["__kind__"] == "statement_level"
+        assert record["result"] == expected
+        assert record["summary"] == {
+            "average_parallelism": pytest.approx(
+                expected["statements_placed"] / expected["critical_path_length"]
+            ),
+            "critical_path_length": expected["critical_path_length"],
+        }
+
     def test_config_grid_fans_out(self, client):
         rows = client.submit(
             {

@@ -78,7 +78,7 @@ class TestScanColumnsFast:
     def test_heads_walk_then_gather(self):
         import io as stdio
 
-        if trace_io._np is None:
+        if trace_io._numpy() is None:
             pytest.skip("NumPy is not installed")
         trace = random_trace(seed=7, length=120, syscall_fraction=0.05)
         stream = stdio.BytesIO()
