@@ -196,6 +196,19 @@ def test_simulator_throughput(benchmark):
     assert result.executed == 100_000
 
 
+def test_full_run_throughput(benchmark):
+    """One untraced espressox run to its exit: Table 2's full-run length."""
+    workload = load_workload("espressox")
+    workload.program()
+
+    def run():
+        result, _ = workload.run(trace=False)
+        return result
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert (result.reason, result.executed) == ("exit", 2_395_812)
+
+
 def test_compiler_throughput(benchmark):
     from repro.lang.compiler import compile_source
 

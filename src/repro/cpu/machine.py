@@ -1,21 +1,39 @@
 """The tracing interpreter.
 
-The machine *compiles* each static instruction into a Python closure at load
-time; executing one dynamic instruction is one closure call returning the
-next pc. Trace records for register-register operations are built once at
-compile time (they are fully static) and appended by reference to a plain
-list, which keeps tracing overhead low on hot loops; :attr:`Machine.trace`
-flattens that list into a :class:`~repro.trace.columnar.ColumnarTrace`.
+The machine is *block-compiled*. A block is the straight-line run of
+instructions from an entry pc up to and including the first branch, jump,
+``jr`` or ``syscall`` (or up to the end of the text segment). The first time
+execution reaches a pc, the block that starts there is generated as Python
+source with every operation inlined (``r[5] = r[3] + k0``) and compiled
+once; :meth:`Machine.run` then makes one call per dynamic block and adds the
+block's length to the instruction count. Blocks are keyed by entry pc, so a
+``jr`` into the middle of a compiled block just compiles another one.
 
-The simulator plays the role of the paper's DECstation + Pixie combination:
-it runs the program and emits the serial trace that Paragraph analyzes.
+Traced and untraced machines share one generator, so each opcode's
+semantics is written once: a traced block also appends each instruction's
+trace record. Records of register operations are fully static; they are
+built once at compile time and appended by reference, batched with
+``list.extend``. Loads, stores and syscalls build theirs at run time.
+:attr:`Machine.trace` flattens the record list into a
+:class:`~repro.trace.columnar.ColumnarTrace`.
+
+Blocks change nothing observable against one-instruction-at-a-time
+execution. When fewer instructions remain under ``max_instructions`` than a
+block holds, a truncated copy of the block is compiled, so the cap stops at
+exactly that count and a capped trace is a prefix of a longer one. A fault
+inside a block reports the faulting instruction's own pc and the number of
+instructions completed before it, and leaves exactly their records.
+
+The simulator plays the role of the paper's DECstation + Pixie combination
+(Pixie, too, instruments whole basic blocks): it runs the program and emits
+the serial trace that Paragraph analyzes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.asm.program import Program
 from repro.cpu.errors import MachineError, ProgramExit
@@ -29,7 +47,7 @@ from repro.cpu.syscalls import (
 from repro.isa.layout import STACK_TOP_WORDS
 from repro.isa.locations import MEM_BASE
 from repro.isa.opclasses import OpClass
-from repro.isa.registers import FP_REG_BASE, REG_SP, REG_V0, fp_reg
+from repro.isa.registers import FP_REG_BASE, REG_RA, REG_SP, REG_V0, fp_reg
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN, TraceRecord
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
@@ -46,97 +64,255 @@ _SYSCALL = int(OpClass.SYSCALL)
 _BRANCH = int(OpClass.BRANCH)
 _JUMP = int(OpClass.JUMP)
 
-_FP_V0 = fp_reg(0)
+# Expression templates over the operands ``{a}`` and ``{b}``, with the
+# trace opclass of each opcode. Operands are register reads (``r[3]``) or
+# names bound to immediates, never literal immediate text.
 
-
-def _trunc_div(a: int, b: int) -> int:
-    if b == 0:
-        raise MachineError("integer division by zero")
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
-
-
-def _trunc_rem(a: int, b: int) -> int:
-    return a - _trunc_div(a, b) * b
-
-
-_INT_BINOPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": _trunc_div,
-    "rem": _trunc_rem,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "nor": lambda a, b: ~(a | b),
-    "sll": lambda a, b: a << (b & 31),
-    "srl": lambda a, b: (a & 0xFFFFFFFF) >> (b & 31),
-    "sra": lambda a, b: a >> (b & 31),
-    "slt": lambda a, b: 1 if a < b else 0,
-    "sle": lambda a, b: 1 if a <= b else 0,
-    "sgt": lambda a, b: 1 if a > b else 0,
-    "sge": lambda a, b: 1 if a >= b else 0,
-    "seq": lambda a, b: 1 if a == b else 0,
-    "sne": lambda a, b: 1 if a != b else 0,
+#: Three-register operations that cannot fault.
+_BINOPS = {
+    "add": (_IALU, "{a} + {b}"),
+    "sub": (_IALU, "{a} - {b}"),
+    "mul": (_IMUL, "{a} * {b}"),
+    "and": (_IALU, "{a} & {b}"),
+    "or": (_IALU, "{a} | {b}"),
+    "xor": (_IALU, "{a} ^ {b}"),
+    "nor": (_IALU, "~({a} | {b})"),
+    "sll": (_IALU, "{a} << ({b} & 31)"),
+    "srl": (_IALU, "({a} & 0xFFFFFFFF) >> ({b} & 31)"),
+    "sra": (_IALU, "{a} >> ({b} & 31)"),
+    "slt": (_IALU, "1 if {a} < {b} else 0"),
+    "sle": (_IALU, "1 if {a} <= {b} else 0"),
+    "sgt": (_IALU, "1 if {a} > {b} else 0"),
+    "sge": (_IALU, "1 if {a} >= {b} else 0"),
+    "seq": (_IALU, "1 if {a} == {b} else 0"),
+    "sne": (_IALU, "1 if {a} != {b} else 0"),
+    "fadd": (_FADD, "{a} + {b}"),
+    "fsub": (_FADD, "{a} - {b}"),
+    "fmul": (_FMUL, "{a} * {b}"),
+    "flt": (_IALU, "1 if {a} < {b} else 0"),
+    "fle": (_IALU, "1 if {a} <= {b} else 0"),
+    "feq": (_IALU, "1 if {a} == {b} else 0"),
 }
 
-_INT_IMMOPS = {
-    "addi": lambda a, b: a + b,
-    "move": lambda a, b: a,
-    "muli": lambda a, b: a * b,
-    "andi": lambda a, b: a & b,
-    "ori": lambda a, b: a | b,
-    "xori": lambda a, b: a ^ b,
-    "slti": lambda a, b: 1 if a < b else 0,
-    "slli": lambda a, b: a << (b & 31),
-    "srli": lambda a, b: (a & 0xFFFFFFFF) >> (b & 31),
-    "srai": lambda a, b: a >> (b & 31),
+#: Register-immediate operations; ``{b}`` is the immediate.
+_IMMOPS = {
+    "addi": (_IALU, "{a} + {b}"),
+    "move": (_IALU, "{a}"),
+    "muli": (_IMUL, "{a} * {b}"),
+    "andi": (_IALU, "{a} & {b}"),
+    "ori": (_IALU, "{a} | {b}"),
+    "xori": (_IALU, "{a} ^ {b}"),
+    "slti": (_IALU, "1 if {a} < {b} else 0"),
+    "slli": (_IALU, "{a} << ({b} & 31)"),
+    "srli": (_IALU, "({a} & 0xFFFFFFFF) >> ({b} & 31)"),
+    "srai": (_IALU, "{a} >> ({b} & 31)"),
 }
 
-
-def _fdiv(a: float, b: float) -> float:
-    if b == 0.0:
-        raise MachineError("floating-point division by zero")
-    return a / b
-
-
-def _fsqrt(a: float) -> float:
-    if a < 0.0:
-        raise MachineError(f"sqrt of negative value: {a}")
-    return math.sqrt(a)
-
-
-_FP_BINOPS = {
-    "fadd": (_FADD, lambda a, b: a + b),
-    "fsub": (_FADD, lambda a, b: a - b),
-    "fmul": (_FMUL, lambda a, b: a * b),
-    "fdiv": (_FDIV, _fdiv),
+#: One-register operations that cannot fault.
+_UNOPS = {
+    "fneg": (_IALU, "-{a}"),
+    "fabs": (_IALU, "abs({a})"),
+    "fmov": (_IALU, "{a}"),
+    "cvtif": (_FADD, "float({a})"),
+    "cvtfi": (_FADD, "trunc({a})"),
 }
 
-_FP_UNOPS = {
-    "fsqrt": (_FDIV, _fsqrt),
-    "fneg": (_IALU, lambda a: -a),
-    "fabs": (_IALU, lambda a: abs(a)),
-    "fmov": (_IALU, lambda a: a),
-}
-
-_FP_COMPARES = {
-    "flt": lambda a, b: 1 if a < b else 0,
-    "fle": lambda a, b: 1 if a <= b else 0,
-    "feq": lambda a, b: 1 if a == b else 0,
-}
-
+#: Branch conditions; one-register branches compare against zero.
 _BRANCH_TESTS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blez": lambda a, b: a <= 0,
-    "bgtz": lambda a, b: a > 0,
-    "bltz": lambda a, b: a < 0,
-    "bgez": lambda a, b: a >= 0,
-    "beqz": lambda a, b: a == 0,
-    "bnez": lambda a, b: a != 0,
+    "beq": "{a} == {b}",
+    "bne": "{a} != {b}",
+    "blez": "{a} <= 0",
+    "bgtz": "{a} > 0",
+    "bltz": "{a} < 0",
+    "bgez": "{a} >= 0",
+    "beqz": "{a} == 0",
+    "bnez": "{a} != 0",
 }
+
+#: Opcodes that end a block: control transfers, and ``syscall``, which may
+#: exit the program (only a block's last instruction may).
+_BLOCK_ENDS = frozenset(_BRANCH_TESTS) | {"j", "jal", "jr", "syscall"}
+
+#: Every opcode :func:`_emit` compiles; checked when a machine is built.
+_OPCODES = (
+    frozenset(_BINOPS) | frozenset(_IMMOPS) | frozenset(_UNOPS) | _BLOCK_ENDS
+    | {"div", "rem", "fdiv", "fsqrt", "li", "la", "lfi", "lw", "lf", "sw", "sf", "nop"}
+)
+
+#: Syscall number -> the registers it writes (a syscall's trace dests).
+_SYSCALL_DESTS = {
+    SYS_READ_INT: (REG_V0,),
+    SYS_SBRK: (REG_V0,),
+    SYS_READ_FLOAT: (fp_reg(0),),
+}
+
+
+def _fault(message: str, pc: int) -> MachineError:
+    """An arithmetic fault at ``pc``. Its message carries no ``pc=`` prefix
+    (:meth:`Machine.run` adds the one such faults have always had), but
+    ``.pc`` still locates it."""
+    error = MachineError(message)
+    error.pc = pc
+    return error
+
+
+class _BlockWriter:
+    """Python source for one block, plus the names it binds.
+
+    A traced block queues static records and appends them in one batch
+    just before anything that needs them in the list: a run-time record,
+    a fault, or leaving the block.
+    """
+
+    def __init__(self, tracing: bool):
+        self.tracing = tracing
+        self.lines: List[str] = []
+        self.names: Dict[str, object] = {}
+        self._pending: List[TraceRecord] = []
+        #: Register -> the value an ``li``/``la`` earlier in the block put there.
+        self.known: Dict[int, object] = {}
+
+    def bind(self, value) -> str:
+        """A fresh name for ``value`` in the block's namespace."""
+        name = f"k{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def line(self, text: str, depth: int = 1) -> None:
+        self.lines.append("    " * depth + text)
+
+    def record(self, rec: TraceRecord) -> None:
+        """Queue the static record of the instruction just emitted."""
+        if self.tracing:
+            self._pending.append(rec)
+
+    def _append(self, depth: int, extra: Optional[TraceRecord] = None) -> None:
+        """Append the queued records and ``extra``, leaving the queue as is."""
+        pending = self._pending + ([extra] if extra is not None else [])
+        if len(pending) == 1:
+            self.line(f"app({self.bind(pending[0])})", depth)
+        elif pending:
+            self.line(f"ext({self.bind(tuple(pending))})", depth)
+
+    def dynamic(self, expr: str) -> None:
+        """Append the queued records, then the record ``expr`` builds."""
+        if self.tracing:
+            if self._pending:
+                names = ", ".join(self.bind(rec) for rec in self._pending)
+                self.line(f"ext(({names}, {expr}))")
+                self._pending = []
+            else:
+                self.line(f"app({expr})")
+
+    def fail(self, condition: str, error: str) -> None:
+        """``if condition: raise error``, first appending the queued records
+        so a fault leaves exactly the records of the instructions before it."""
+        self.line(f"if {condition}:")
+        if self.tracing:
+            self._append(2)
+        self.line(f"raise {error}", 2)
+
+    def leave(self, next_pc: str, rec: Optional[TraceRecord] = None, depth: int = 1) -> None:
+        """Append the queued records and ``rec``, then return ``next_pc``."""
+        if self.tracing:
+            self._append(depth, rec)
+        self.line(f"return {next_pc}", depth)
+
+    def source(self) -> str:
+        return "def block():\n" + "\n".join(self.lines) + "\n"
+
+
+def _emit(w: _BlockWriter, pc: int, instr, size: int) -> None:
+    """Write instruction ``pc``'s semantics (and record) into ``w``."""
+    op = instr.op
+    d, s1, s2 = instr.dst, instr.src1, instr.src2
+    stmt = instr.stmt_id
+    rs = f"r[{s1}]"  # the first source operand
+
+    if op in _BINOPS:
+        klass, expr = _BINOPS[op]
+        w.line(f"r[{d}] = " + expr.format(a=rs, b=f"r[{s2}]"))
+        w.record((klass, (s1, s2), (d,), 0, stmt))
+    elif op in _IMMOPS:
+        klass, expr = _IMMOPS[op]
+        w.line(f"r[{d}] = " + expr.format(a=rs, b=w.bind(instr.imm)))
+        w.record((klass, (s1,), (d,), 0, stmt))
+    elif op in _UNOPS:
+        klass, expr = _UNOPS[op]
+        w.line(f"r[{d}] = " + expr.format(a=rs))
+        w.record((klass, (s1,), (d,), 0, stmt))
+    elif op in ("div", "rem"):
+        w.line(f"a = r[{s1}]")
+        w.line(f"b = r[{s2}]")
+        w.fail("b == 0", f'fault("integer division by zero", {pc})')
+        w.line("q = abs(a) // abs(b)")
+        w.line("q = q if (a < 0) == (b < 0) else -q")  # truncate toward zero
+        w.line(f"r[{d}] = q" if op == "div" else f"r[{d}] = a - q * b")
+        w.record((_IDIV, (s1, s2), (d,), 0, stmt))
+    elif op == "fdiv":
+        w.line(f"b = r[{s2}]")
+        w.fail("b == 0.0", f'fault("floating-point division by zero", {pc})')
+        w.line(f"r[{d}] = r[{s1}] / b")
+        w.record((_FDIV, (s1, s2), (d,), 0, stmt))
+    elif op == "fsqrt":
+        w.line(f"a = r[{s1}]")
+        w.fail("a < 0.0", f'fault(f"sqrt of negative value: {{a}}", {pc})')
+        w.line(f"r[{d}] = sqrt(a)")
+        w.record((_FDIV, (s1,), (d,), 0, stmt))
+    elif op in ("li", "la", "lfi"):
+        value = float(instr.imm) if op == "lfi" else instr.imm
+        w.line(f"r[{d}] = {w.bind(value)}")
+        w.record((_IALU, (), (d,), 0, stmt))
+    elif op in ("lw", "lf", "sw", "sf"):  # a store's ``dst`` is its data register
+        load = op in ("lw", "lf")
+        default = "0.0" if op == "lf" else "0"
+        base = w.known.get(s1)  # set by an earlier ``li``/``la`` of this block
+        static = type(base) is int and type(instr.imm) is int and base + instr.imm >= 0
+        if s1 == 0 or static:  # the address is known at compile time
+            addr = instr.imm if s1 == 0 else base + instr.imm  # r0-based: never checked
+            k = w.bind(addr)
+            w.line(f"r[{d}] = g({k}, {default})" if load else f"m[{k}] = r[{d}]")
+            srcs, loc = ((s1,) if s1 else ()), MEM_BASE + addr
+            if load:
+                w.record((_LOAD, srcs + (loc,), (d,), 0, stmt))
+            else:
+                w.record((_STORE, (d,) + srcs, (loc,), 0, stmt))
+        else:
+            w.line(f"a = r[{s1}] + {w.bind(instr.imm)}")
+            what = "load from" if load else "store to"
+            w.fail("a < 0", f'E(f"{what} negative address {{a}}", {pc})')
+            w.line(f"r[{d}] = g(a, {default})" if load else f"m[a] = r[{d}]")
+            k = w.bind(stmt)
+            if load:
+                w.dynamic(f"(LOAD, ({s1}, MB + a), ({d},), 0, {k})")
+            else:
+                w.dynamic(f"(STORE, ({d}, {s1}), (MB + a,), 0, {k})")
+    elif op in _BRANCH_TESTS:
+        srcs = (s1, s2) if s2 is not None else (s1,)
+        b = f"r[{s2}]" if s2 is not None else "0"
+        w.line(f"if {_BRANCH_TESTS[op].format(a=rs, b=b)}:")
+        w.leave(f"{instr.target}", (_BRANCH, srcs, (), FLAG_CONDITIONAL | FLAG_TAKEN, pc), 2)
+        w.leave(f"{pc + 1}", (_BRANCH, srcs, (), FLAG_CONDITIONAL, pc))
+    elif op in ("j", "jal"):
+        if op == "jal":
+            w.line(f"r[{REG_RA}] = {pc + 1}")
+        w.leave(f"{instr.target}", (_JUMP, (), (), 0, pc))
+    elif op == "jr":
+        w.line(f"t = r[{s1}]")
+        w.fail(
+            f"not isinstance(t, int) or not 0 <= t <= {size}",
+            f'E(f"jr to invalid target {{t!r}}", {pc})',
+        )
+        w.leave("t", (_JUMP, (s1,), (), 0, pc))
+    elif op == "syscall":
+        w.dynamic(f"(SYSCALL, ({REG_V0},), DESTS.get(r[{REG_V0}], ()), 0, {w.bind(stmt)})")
+        w.line("dispatch(r, memory)")
+        w.leave(f"{pc + 1}")
+    # ``nop`` does nothing and is not traced.
+    if op in ("li", "la", "lfi"):
+        w.known[d] = instr.imm if op != "lfi" else None
+    elif d is not None and op not in ("sw", "sf"):
+        w.known.pop(d, None)
 
 
 @dataclass
@@ -175,8 +351,32 @@ class Machine:
         self.syscalls = SyscallHandler(int_inputs, float_inputs)
         #: The emitted records, in order (``None`` when not tracing).
         self.records: Optional[List[TraceRecord]] = [] if trace else None
-        self._tracing = trace
-        self._code = [self._compile(i, instr) for i, instr in enumerate(program.instructions)]
+        for index, instr in enumerate(program.instructions):
+            if instr.dst == 0 and instr.op not in ("sw", "sf"):
+                raise MachineError(f"instruction writes r0: {instr}", index)
+            if instr.op not in _OPCODES:
+                raise MachineError(f"cannot compile opcode {instr.op!r}", index)
+        #: Compiled blocks by entry pc, as ``(function, length)``.
+        self._blocks: List[Optional[Tuple]] = [None] * len(program.instructions)
+        words = self.memory.words
+        self._namespace = {
+            "r": self.regs,
+            "m": words,
+            "g": words.get,
+            "app": self.records.append if trace else None,
+            "ext": self.records.extend if trace else None,
+            "dispatch": self.syscalls.dispatch,
+            "memory": self.memory,
+            "E": MachineError,
+            "fault": _fault,
+            "sqrt": math.sqrt,
+            "trunc": math.trunc,
+            "LOAD": _LOAD,
+            "STORE": _STORE,
+            "SYSCALL": _SYSCALL,
+            "MB": MEM_BASE,
+            "DESTS": _SYSCALL_DESTS,
+        }
 
     @property
     def trace(self) -> Optional[ColumnarTrace]:
@@ -191,260 +391,66 @@ class Machine:
     def run(self, max_instructions: Optional[int] = None) -> RunResult:
         """Run from the program entry until exit, falling off the end, or
         hitting ``max_instructions``."""
-        code = self._code
-        size = len(code)
+        blocks = self._blocks
+        size = len(blocks)
         pc = self.program.entry
         executed = 0
-        limit = max_instructions if max_instructions is not None else float("inf")
+        limit = max_instructions if max_instructions is not None else math.inf
+        length = 0
         try:
-            while 0 <= pc < size and executed < limit:
-                pc = code[pc]()
-                executed += 1
+            while 0 <= pc < size:
+                block = blocks[pc]
+                if block is None or executed + block[1] > limit:
+                    block = self._block(pc, limit - executed)
+                    if block is None:
+                        break
+                run_block, length = block
+                pc = run_block()
+                executed += length
         except ProgramExit as exit_info:
-            return RunResult(executed + 1, "exit", exit_info.code, self.syscalls.output)
+            # Only a block's last instruction exits, and it counts.
+            return RunResult(executed + length, "exit", exit_info.code, self.syscalls.output)
         except MachineError as err:
-            raise MachineError(f"{err} (after {executed} instructions)", pc) from err
+            # ``pc`` is still the block's entry; a syscall's fault carries
+            # no pc, and a syscall always ends its block.
+            at = err.pc if err.pc >= 0 else pc + length - 1
+            raise MachineError(
+                f"{err} (after {executed + at - pc} instructions)", at
+            ) from err
         reason = "limit" if executed >= limit else "end"
         return RunResult(executed, reason, None, self.syscalls.output)
 
     # -- compilation ----------------------------------------------------
 
-    def _compile(self, index, instr):
-        """Build the closure implementing instruction ``index``."""
-        regs = self.regs
-        mem = self.memory.words
-        records = self.records
-        append = records.append if records is not None else None
-        tracing = self._tracing
-        op = instr.op
-        d, s1, s2 = instr.dst, instr.src1, instr.src2
-        imm, tgt, stmt = instr.imm, instr.target, instr.stmt_id
-        nxt = index + 1
+    def _block(self, entry: int, budget) -> Optional[Tuple]:
+        """The block at ``entry`` as ``(function, length)``, compiled and
+        cached on first use. When the cap falls inside it, a copy cut to
+        its first ``budget`` instructions is compiled instead (a run ends
+        there, so it is not cached); ``None`` once the budget is spent."""
+        if budget <= 0:
+            return None
+        instructions = self.program.instructions
+        end = entry
+        while end < len(instructions) - 1 and instructions[end].op not in _BLOCK_ENDS:
+            end += 1
+        length = end + 1 - entry
+        if length <= budget:
+            block = self._blocks[entry] = (self._build(entry, length), length)
+            return block
+        return self._build(entry, budget), budget
 
-        if d is not None and d == 0 and op not in ("sw", "sf"):
-            raise MachineError(f"instruction writes r0: {instr}", index)
-
-        if op in _INT_BINOPS or op in _FP_BINOPS or op in _FP_COMPARES:
-            if op in _INT_BINOPS:
-                klass, fn = (
-                    _IMUL if op == "mul" else _IDIV if op in ("div", "rem") else _IALU,
-                    _INT_BINOPS[op],
-                )
-            elif op in _FP_BINOPS:
-                klass, fn = _FP_BINOPS[op]
-            else:
-                klass, fn = _IALU, _FP_COMPARES[op]
-            rec = (klass, (s1, s2), (d,), 0, stmt)
-            if tracing:
-                def step():
-                    regs[d] = fn(regs[s1], regs[s2])
-                    append(rec)
-                    return nxt
-            else:
-                def step():
-                    regs[d] = fn(regs[s1], regs[s2])
-                    return nxt
-            return step
-
-        if op in _INT_IMMOPS:
-            fn = _INT_IMMOPS[op]
-            klass = _IMUL if op == "muli" else _IALU
-            rec = (klass, (s1,), (d,), 0, stmt)
-            if tracing:
-                def step():
-                    regs[d] = fn(regs[s1], imm)
-                    append(rec)
-                    return nxt
-            else:
-                def step():
-                    regs[d] = fn(regs[s1], imm)
-                    return nxt
-            return step
-
-        if op in _FP_UNOPS or op in ("cvtif", "cvtfi"):
-            if op in _FP_UNOPS:
-                klass, fn = _FP_UNOPS[op]
-            elif op == "cvtif":
-                klass, fn = _FADD, float
-            else:
-                klass, fn = _FADD, lambda a: math.trunc(a)
-            rec = (klass, (s1,), (d,), 0, stmt)
-            if tracing:
-                def step():
-                    regs[d] = fn(regs[s1])
-                    append(rec)
-                    return nxt
-            else:
-                def step():
-                    regs[d] = fn(regs[s1])
-                    return nxt
-            return step
-
-        if op in ("li", "lfi", "la"):
-            value = float(imm) if op == "lfi" else imm
-            rec = (_IALU, (), (d,), 0, stmt)
-            if tracing:
-                def step():
-                    regs[d] = value
-                    append(rec)
-                    return nxt
-            else:
-                def step():
-                    regs[d] = value
-                    return nxt
-            return step
-
-        if op in ("lw", "lf"):
-            default = 0.0 if op == "lf" else 0
-            if s1 == 0:  # absolute address, zero register base
-                addr = imm
-                rec = (_LOAD, (MEM_BASE + addr,), (d,), 0, stmt)
-                if tracing:
-                    def step():
-                        regs[d] = mem.get(addr, default)
-                        append(rec)
-                        return nxt
-                else:
-                    def step():
-                        regs[d] = mem.get(addr, default)
-                        return nxt
-            else:
-                if tracing:
-                    def step():
-                        addr = regs[s1] + imm
-                        if addr < 0:
-                            raise MachineError(f"load from negative address {addr}", index)
-                        regs[d] = mem.get(addr, default)
-                        append((_LOAD, (s1, MEM_BASE + addr), (d,), 0, stmt))
-                        return nxt
-                else:
-                    def step():
-                        addr = regs[s1] + imm
-                        if addr < 0:
-                            raise MachineError(f"load from negative address {addr}", index)
-                        regs[d] = mem.get(addr, default)
-                        return nxt
-            return step
-
-        if op in ("sw", "sf"):
-            if s1 == 0:
-                addr = imm
-                rec = (_STORE, (d,), (MEM_BASE + addr,), 0, stmt)
-                if tracing:
-                    def step():
-                        mem[addr] = regs[d]
-                        append(rec)
-                        return nxt
-                else:
-                    def step():
-                        mem[addr] = regs[d]
-                        return nxt
-            else:
-                if tracing:
-                    def step():
-                        addr = regs[s1] + imm
-                        if addr < 0:
-                            raise MachineError(f"store to negative address {addr}", index)
-                        mem[addr] = regs[d]
-                        append((_STORE, (d, s1), (MEM_BASE + addr,), 0, stmt))
-                        return nxt
-                else:
-                    def step():
-                        addr = regs[s1] + imm
-                        if addr < 0:
-                            raise MachineError(f"store to negative address {addr}", index)
-                        mem[addr] = regs[d]
-                        return nxt
-            return step
-
-        if op in _BRANCH_TESTS:
-            test = _BRANCH_TESTS[op]
-            srcs = (s1, s2) if s2 is not None else (s1,)
-            rec_taken = (_BRANCH, srcs, (), FLAG_CONDITIONAL | FLAG_TAKEN, index)
-            rec_fall = (_BRANCH, srcs, (), FLAG_CONDITIONAL, index)
-            if tracing:
-                def step():
-                    if test(regs[s1], regs[s2] if s2 is not None else 0):
-                        append(rec_taken)
-                        return tgt
-                    append(rec_fall)
-                    return nxt
-            else:
-                def step():
-                    if test(regs[s1], regs[s2] if s2 is not None else 0):
-                        return tgt
-                    return nxt
-            return step
-
-        if op == "j":
-            rec = (_JUMP, (), (), 0, index)
-            if tracing:
-                def step():
-                    append(rec)
-                    return tgt
-            else:
-                def step():
-                    return tgt
-            return step
-
-        if op == "jal":
-            rec = (_JUMP, (), (), 0, index)
-            if tracing:
-                def step():
-                    regs[31] = nxt
-                    append(rec)
-                    return tgt
-            else:
-                def step():
-                    regs[31] = nxt
-                    return tgt
-            return step
-
-        if op == "jr":
-            rec = (_JUMP, (s1,), (), 0, index)
-            size = len(self.program.instructions)
-            if tracing:
-                def step():
-                    target = regs[s1]
-                    if not isinstance(target, int) or not 0 <= target <= size:
-                        raise MachineError(f"jr to invalid target {target!r}", index)
-                    append(rec)
-                    return target
-            else:
-                def step():
-                    target = regs[s1]
-                    if not isinstance(target, int) or not 0 <= target <= size:
-                        raise MachineError(f"jr to invalid target {target!r}", index)
-                    return target
-            return step
-
-        if op == "syscall":
-            dispatch = self.syscalls.dispatch
-            memory = self.memory
-            if tracing:
-                def step():
-                    number = regs[REG_V0]
-                    if number == SYS_READ_INT or number == SYS_SBRK:
-                        dests = (REG_V0,)
-                    elif number == SYS_READ_FLOAT:
-                        dests = (_FP_V0,)
-                    else:
-                        dests = ()
-                    append((_SYSCALL, (REG_V0,), dests, 0, stmt))
-                    dispatch(regs, memory)
-                    return nxt
-            else:
-                def step():
-                    dispatch(regs, memory)
-                    return nxt
-            return step
-
-        if op == "nop":
-            def step():
-                return nxt
-            return step
-
-        raise MachineError(f"cannot compile opcode {op!r}", index)
+    def _build(self, entry: int, length: int):
+        """Generate, compile and bind one block's function."""
+        instructions = self.program.instructions
+        w = _BlockWriter(self.records is not None)
+        for pc in range(entry, entry + length):
+            _emit(w, pc, instructions[pc], len(instructions))
+        last = entry + length - 1
+        if instructions[last].op not in _BLOCK_ENDS:  # falls through
+            w.leave(f"{last + 1}")
+        namespace = dict(self._namespace, **w.names)
+        exec(compile(w.source(), f"<block {entry}+{length}>", "exec"), namespace)
+        return namespace["block"]
 
 
 def run_and_trace(

@@ -269,7 +269,10 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
         pass
     signal.signal(signal.SIGTERM, _sigterm_to_exit)
     if metrics:
-        obs.enable()
+        # A forked worker inherits the parent's registry, counters the
+        # parent has not exported yet included; its first drain would ship
+        # those back to be merged a second time. Start from a fresh one.
+        obs.enable(obs.MetricsRegistry())
     traces: "OrderedDict[Tuple[str, str], ColumnarTrace]" = OrderedDict()
     exit_code: Optional[int] = None
     try:

@@ -1,14 +1,18 @@
 """Interpreter semantics, opcode by opcode, plus tracing behaviour."""
 
+import math
+
 import pytest
 
 from repro.asm.assembler import assemble
+from repro.asm.program import Program
 from repro.cpu.errors import MachineError
 from repro.cpu.machine import Machine, run_and_trace
+from repro.isa.instruction import Instruction
 from repro.isa.layout import STACK_TOP_WORDS
 from repro.isa.locations import MEM_BASE
 from repro.isa.opclasses import OpClass
-from repro.isa.registers import parse_register
+from repro.isa.registers import fp_reg, parse_register
 from repro.trace.record import FLAG_CONDITIONAL, FLAG_TAKEN
 
 
@@ -259,3 +263,98 @@ class TestTracing:
     def test_write_to_zero_register_rejected_at_compile(self):
         with pytest.raises(MachineError, match="writes r0"):
             Machine(assemble("li zero, 1\n"))
+
+
+class TestBlockEdges:
+    """The simulator compiles straight-line blocks of instructions; block
+    boundaries must never show in counts, traces, faults or registers."""
+
+    LOOP = (
+        "li t0, 0\n li t1, 5\n"
+        "loop: addi t0, t0, 1\n add t2, t0, t0\n sw t2, 0x2000(t0)\n"
+        " lw t3, 0x2000(t0)\n bne t0, t1, loop\n"
+        " li a0, 0\n li v0, 10\n syscall\n"
+    )
+
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    def test_cap_inside_a_block_is_exact(self, trace):
+        program = assemble(self.LOOP)
+        full = Machine(program, trace=trace)
+        assert (full.run().executed, full.regs[parse_register("t3")]) == (30, 10)
+        for cap in range(1, 30):
+            machine = Machine(program, trace=trace)
+            result = machine.run(max_instructions=cap)
+            assert (result.executed, result.reason) == (cap, "limit")
+            if trace:  # no nop here, so one record per instruction
+                assert machine.records == full.records[:cap]
+
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    def test_divide_by_zero_inside_a_block(self, trace):
+        # the fault is the loop block's third instruction, on its third entry
+        machine = Machine(
+            assemble(
+                "li t0, 3\nloop: addi t0, t0, -1\n li t1, 12\n"
+                " div t2, t1, t0\n bnez t0, loop\n"
+            ),
+            trace=trace,
+        )
+        with pytest.raises(MachineError) as caught:
+            machine.run()
+        assert str(caught.value) == "pc=3: integer division by zero (after 11 instructions)"
+        assert caught.value.pc == 3
+        if trace:
+            assert len(machine.records) == 11
+
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    def test_negative_address_store_inside_a_block(self, trace):
+        machine = Machine(
+            assemble(
+                "li t0, 2\nloop: addi t0, t0, -1\n li t1, 7\n"
+                " sw t1, 0(t0)\n bgez t0, loop\n"
+            ),
+            trace=trace,
+        )
+        with pytest.raises(MachineError) as caught:
+            machine.run()
+        assert str(caught.value) == (
+            "pc=3: pc=3: store to negative address -1 (after 11 instructions)"
+        )
+        assert caught.value.pc == 3
+        if trace:
+            assert len(machine.records) == 11
+
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "untraced"])
+    def test_jr_into_the_middle_of_a_compiled_block(self, trace):
+        machine = Machine(
+            assemble(
+                "addi t1, t1, 1\n"  # pc 0: the first block runs 0..4
+                "addi t2, t2, 1\n"  # pc 1: the jr target, inside that block
+                "li t0, 1\n slti t3, t2, 3\n beqz t3, done\n"
+                "jr t0\n"
+                "done: nop\n"
+            ),
+            trace=trace,
+        )
+        result = machine.run()
+        assert (result.executed, result.reason) == (16, "end")
+        assert (reg(machine, "t1"), reg(machine, "t2")) == (1, 3)
+        if trace:
+            assert len(machine.records) == 15  # the nop is not traced
+            jumps = [rec for rec in machine.records if rec[0] == int(OpClass.JUMP)]
+            assert jumps == [(int(OpClass.JUMP), (parse_register("t0"),), (), 0, 5)] * 2
+
+    def test_lfi_of_inf_and_nan(self):
+        f0, f1, f2 = fp_reg(0), fp_reg(1), fp_reg(2)
+        program = Program(
+            instructions=[
+                Instruction("lfi", dst=f0, imm=float("inf")),
+                Instruction("lfi", dst=f1, imm=float("nan")),
+                Instruction("fneg", dst=f2, src1=f0),
+            ]
+        )
+        for trace in (True, False):
+            machine = Machine(program, trace=trace)
+            assert machine.run().executed == 3
+            assert machine.regs[f0] == math.inf
+            assert math.isnan(machine.regs[f1])
+            assert machine.regs[f2] == -math.inf

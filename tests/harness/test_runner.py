@@ -1,7 +1,9 @@
 """Trace store caching, staleness recovery, and disk sharing."""
 
+import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +12,9 @@ from repro.harness.runner import TraceStore, TruncatedRunError, full_run_key
 from repro.trace.io import read_trace_digest, write_trace_file
 from repro.trace.synthetic import random_trace
 from repro.workloads.base import Workload
-from repro.workloads.suite import load_workload
+from repro.workloads.suite import SUITE_NAMES, load_workload
+
+TABLE2_CSV = Path(__file__).resolve().parents[2] / "results" / "table2.csv"
 
 
 class TestMemoryCache:
@@ -193,6 +197,18 @@ class TestFullRunLength:
         first = store.full_run_length("doducx")
         second = store.full_run_length("doducx")
         assert first == second > 100_000
+
+    def test_every_length_matches_table2(self):
+        """Each workload's full-run length is the committed Table 2 figure
+        (simulated here, so a simulator change that alters any run's
+        length fails tier-1)."""
+        with open(TABLE2_CSV, newline="") as handle:
+            expected = {
+                row["Workload"]: int(row["Total instrs (full run)"])
+                for row in csv.DictReader(handle)
+            }
+        store = TraceStore()
+        assert {name: store.full_run_length(name) for name in SUITE_NAMES} == expected
 
     def _sidecar(self, tmp_path):
         directory = str(tmp_path / "traces")

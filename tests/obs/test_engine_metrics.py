@@ -75,6 +75,14 @@ class TestCrossProcessMerge:
         ]["job.queue_wait"]
         assert queue_waits["count"] == n
 
+    def test_parent_counter_set_before_a_parallel_grid_is_exported_once(self, tmp_path):
+        """Forked workers start from a fresh registry: a counter the parent
+        has not exported yet is not drained back by each worker."""
+        engine = engine_for(tmp_path, jobs=2)
+        obs.inc("probe")
+        engine.run_grid(grid())
+        assert grid_counters(engine)["probe"] == 1
+
     def test_worker_drain_does_not_double_count_across_grids(self, tmp_path):
         engine = engine_for(tmp_path, jobs=2)
         engine.run_grid(grid())
