@@ -11,9 +11,10 @@ block's length to the instruction count. Blocks are keyed by entry pc, so a
 
 Traced and untraced machines share one generator, so each opcode's
 semantics is written once: a traced block also appends each instruction's
-trace record. Records of register operations are fully static; they are
-built once at compile time and appended by reference, batched with
-``list.extend``. Loads, stores and syscalls build theirs at run time.
+trace record, right after the instruction's own line. Records of register
+operations (and of loads and stores at an absolute address) are fully
+static: built once at compile time and appended by reference. Other loads
+and stores, and syscalls, build theirs at run time.
 :attr:`Machine.trace` flattens the record list into a
 :class:`~repro.trace.columnar.ColumnarTrace`.
 
@@ -157,20 +158,12 @@ def _fault(message: str, pc: int) -> MachineError:
 
 
 class _BlockWriter:
-    """Python source for one block, plus the names it binds.
-
-    A traced block queues static records and appends them in one batch
-    just before anything that needs them in the list: a run-time record,
-    a fault, or leaving the block.
-    """
+    """Python source for one block, plus the names it binds."""
 
     def __init__(self, tracing: bool):
         self.tracing = tracing
         self.lines: List[str] = []
         self.names: Dict[str, object] = {}
-        self._pending: List[TraceRecord] = []
-        #: Register -> the value an ``li``/``la`` earlier in the block put there.
-        self.known: Dict[int, object] = {}
 
     def bind(self, value) -> str:
         """A fresh name for ``value`` in the block's namespace."""
@@ -181,41 +174,26 @@ class _BlockWriter:
     def line(self, text: str, depth: int = 1) -> None:
         self.lines.append("    " * depth + text)
 
-    def record(self, rec: TraceRecord) -> None:
-        """Queue the static record of the instruction just emitted."""
+    def record(self, rec: TraceRecord, depth: int = 1) -> None:
+        """Append the static record of the instruction just emitted."""
         if self.tracing:
-            self._pending.append(rec)
-
-    def _append(self, depth: int, extra: Optional[TraceRecord] = None) -> None:
-        """Append the queued records and ``extra``, leaving the queue as is."""
-        pending = self._pending + ([extra] if extra is not None else [])
-        if len(pending) == 1:
-            self.line(f"app({self.bind(pending[0])})", depth)
-        elif pending:
-            self.line(f"ext({self.bind(tuple(pending))})", depth)
+            self.line(f"app({self.bind(rec)})", depth)
 
     def dynamic(self, expr: str) -> None:
-        """Append the queued records, then the record ``expr`` builds."""
+        """Append the record ``expr`` builds at run time."""
         if self.tracing:
-            if self._pending:
-                names = ", ".join(self.bind(rec) for rec in self._pending)
-                self.line(f"ext(({names}, {expr}))")
-                self._pending = []
-            else:
-                self.line(f"app({expr})")
+            self.line(f"app({expr})")
 
     def fail(self, condition: str, error: str) -> None:
-        """``if condition: raise error``, first appending the queued records
-        so a fault leaves exactly the records of the instructions before it."""
+        """``if condition: raise error``. Each record is appended after its
+        instruction, so a fault leaves exactly the records before it."""
         self.line(f"if {condition}:")
-        if self.tracing:
-            self._append(2)
         self.line(f"raise {error}", 2)
 
     def leave(self, next_pc: str, rec: Optional[TraceRecord] = None, depth: int = 1) -> None:
-        """Append the queued records and ``rec``, then return ``next_pc``."""
-        if self.tracing:
-            self._append(depth, rec)
+        """Append ``rec``, then return ``next_pc``."""
+        if rec is not None:
+            self.record(rec, depth)
         self.line(f"return {next_pc}", depth)
 
     def source(self) -> str:
@@ -266,17 +244,14 @@ def _emit(w: _BlockWriter, pc: int, instr, size: int) -> None:
     elif op in ("lw", "lf", "sw", "sf"):  # a store's ``dst`` is its data register
         load = op in ("lw", "lf")
         default = "0.0" if op == "lf" else "0"
-        base = w.known.get(s1)  # set by an earlier ``li``/``la`` of this block
-        static = type(base) is int and type(instr.imm) is int and base + instr.imm >= 0
-        if s1 == 0 or static:  # the address is known at compile time
-            addr = instr.imm if s1 == 0 else base + instr.imm  # r0-based: never checked
-            k = w.bind(addr)
+        if s1 == 0:  # absolute address, zero register base: never checked
+            k = w.bind(instr.imm)
             w.line(f"r[{d}] = g({k}, {default})" if load else f"m[{k}] = r[{d}]")
-            srcs, loc = ((s1,) if s1 else ()), MEM_BASE + addr
+            loc = MEM_BASE + instr.imm
             if load:
-                w.record((_LOAD, srcs + (loc,), (d,), 0, stmt))
+                w.record((_LOAD, (loc,), (d,), 0, stmt))
             else:
-                w.record((_STORE, (d,) + srcs, (loc,), 0, stmt))
+                w.record((_STORE, (d,), (loc,), 0, stmt))
         else:
             w.line(f"a = r[{s1}] + {w.bind(instr.imm)}")
             what = "load from" if load else "store to"
@@ -309,10 +284,6 @@ def _emit(w: _BlockWriter, pc: int, instr, size: int) -> None:
         w.line("dispatch(r, memory)")
         w.leave(f"{pc + 1}")
     # ``nop`` does nothing and is not traced.
-    if op in ("li", "la", "lfi"):
-        w.known[d] = instr.imm if op != "lfi" else None
-    elif d is not None and op not in ("sw", "sf"):
-        w.known.pop(d, None)
 
 
 @dataclass
@@ -364,7 +335,6 @@ class Machine:
             "m": words,
             "g": words.get,
             "app": self.records.append if trace else None,
-            "ext": self.records.extend if trace else None,
             "dispatch": self.syscalls.dispatch,
             "memory": self.memory,
             "E": MachineError,
@@ -450,7 +420,9 @@ class Machine:
             w.leave(f"{last + 1}")
         namespace = dict(self._namespace, **w.names)
         exec(compile(w.source(), f"<block {entry}+{length}>", "exec"), namespace)
-        return namespace["block"]
+        # Popped, so the namespace does not hold the function that holds it:
+        # that cycle would keep the record list alive until a full collection.
+        return namespace.pop("block")
 
 
 def run_and_trace(

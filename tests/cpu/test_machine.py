@@ -1,5 +1,6 @@
 """Interpreter semantics, opcode by opcode, plus tracing behaviour."""
 
+import gc
 import math
 
 import pytest
@@ -358,3 +359,17 @@ class TestBlockEdges:
             assert machine.regs[f0] == math.inf
             assert math.isnan(machine.regs[f1])
             assert machine.regs[f2] == -math.inf
+
+    def test_finished_machine_is_freed_without_the_cycle_collector(self):
+        # A compiled block must not form a reference cycle: one would keep
+        # the whole record list alive until the next full collection.
+        program = assemble(self.LOOP)
+        gc.collect()
+        gc.disable()
+        try:
+            machine = Machine(program, trace=True)
+            machine.run()
+            del machine
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
