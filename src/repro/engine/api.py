@@ -5,7 +5,9 @@ optional result cache, and progress reporting behind two calls:
 
 - :meth:`ExperimentEngine.analyze` — one analysis, in-process (cache-aware);
 - :meth:`ExperimentEngine.analyze_grid` — a batch of jobs, fanned out to the
-  worker pool when ``jobs > 1``, with results in submission order.
+  worker pool when ``jobs > 1``, with results in submission order;
+- :meth:`ExperimentEngine.prepare` — traces (and full-run lengths) made
+  ready ahead of reading them, generated on that same pool.
 
 Experiment code builds grids of :class:`~repro.engine.jobs.AnalysisJob` and
 never touches multiprocessing, trace files, or cache keys directly; swapping
@@ -65,6 +67,24 @@ def outcome_row(outcome: JobOutcome) -> dict:
         "queue_wait": outcome.queue_wait,
         "phases": outcome.phases,
         "error": outcome.error,
+    }
+
+
+def generation_row(done) -> dict:
+    """The metrics-export row for one trace generation (a
+    :class:`~repro.harness.runner.Generated`)."""
+    task = done.task
+    return {
+        "workload": task.workload,
+        "cap": task.cap,
+        "optimize": task.optimize,
+        "full_run": task.full_run,
+        "ok": done.error is None,
+        "seconds": done.seconds,
+        "worker": done.worker,
+        "queue_wait": done.queue_wait,
+        "phases": done.phases,
+        "error": done.error,
     }
 
 
@@ -202,6 +222,18 @@ class ExperimentEngine:
             self._metrics_writer = MetricsWriter(self.metrics_file, self.metrics_run_id)
         return self._metrics_writer
 
+    def _export_generations(self, store) -> list:
+        """Drain the store's landed generations; with a metrics file, one
+        row each is appended to it. Returns the drained generations."""
+        done = list(getattr(store, "generations", ()))
+        if done:
+            del store.generations[: len(done)]
+        if done and self.metrics and self.metrics_file is not None:
+            writer = self._writer()
+            for generation in done:
+                writer.write_generation(generation_row(generation))
+        return done
+
     def _export_grid(self, outcomes: Sequence[JobOutcome]) -> None:
         """Append one row per terminal outcome plus the grid's merged
         registry snapshot (parent + workers) to the run's metrics file.
@@ -223,12 +255,14 @@ class ExperimentEngine:
         ``atexit``. Idempotent; the engine stays usable for trace reads
         but must not run further grids afterwards.
 
-        Counters recorded after the last grid (Table 2's full runs, trace
-        loads outside any grid) are written as a final grid row with no
-        jobs, so a metrics file always carries everything the run
-        counted."""
+        Generations and counters recorded after the last grid (a
+        preparation or trace loads outside any grid, such as all of a lone
+        ``run table2``) are written as generation rows and a final grid
+        row with no jobs, so a metrics file always carries everything the
+        run counted."""
         if self.journal is not None:
             self.journal.close()
+        self._export_generations(self.store)
         if self.metrics and self.metrics_file is not None:
             leftover = obs.registry().drain()
             if _pending(leftover):
@@ -278,9 +312,46 @@ class ExperimentEngine:
             fail_fast=self.fail_fast,
             metrics=self.metrics,
         )
+        self._export_generations(store)
         if self.metrics:
             self._export_grid(outcomes)
         return outcomes
+
+    def prepare(self, workloads: Sequence[str], cap: Optional[int], full_run: bool = False) -> None:
+        """Make each workload's first ``cap`` records (``None``: none) and,
+        with ``full_run``, its full-run length ready before the caller
+        reads them through :attr:`store`. With ``jobs > 1`` whatever is
+        missing is generated on the worker pool, one task per workload (its
+        program compiles once for both), full runs queued first; with
+        everything present no worker starts. With ``jobs == 1`` nothing
+        happens here: the store's own reads generate in-process.
+
+        A :class:`~repro.harness.runner.TruncatedRunError` raised by a
+        worker's full run is raised here with its message. Any other
+        failure is left to the caller's read, which retries it in-process
+        and raises the real error."""
+        from repro.harness.runner import Generation, TruncatedRunError
+
+        if self.jobs == 1:
+            return
+        self._ensure_disk_store()
+        requests = [Generation(name, cap, full_run=full_run) for name in workloads]
+        try:
+            execute_jobs(
+                [],
+                self.store,
+                njobs=self.jobs,
+                timeout=self.timeout,
+                start_method=self._start_method,
+                metrics=self.metrics,
+                prepare=requests,
+            )
+        finally:
+            done = self._export_generations(self.store)
+        prefix = f"{TruncatedRunError.__name__}: "
+        for generation in done:
+            if generation.error and generation.error.startswith(prefix):
+                raise TruncatedRunError(generation.error[len(prefix) :])
 
     def analyze_grid(self, grid: Sequence[AnalysisJob]) -> List[JobResult]:
         """Execute a grid strictly: results in submission order, or

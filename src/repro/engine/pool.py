@@ -1,15 +1,19 @@
 """Multiprocess job execution over the shared trace cache.
 
-Parallelization strategy: the parent materializes each distinct input trace
-*once* — in the on-disk trace cache (via :meth:`TraceStore.ensure_on_disk`,
-which keys the result cache) and, for the jobs that actually run, as a
-columnar trace in a ``multiprocessing.shared_memory`` block. Workers are
-shipped job specs plus a trace reference and attach the shared block
-zero-copy — a multi-hundred-thousand-record trace is never pickled per job
-and never decoded per worker. When shared memory is unavailable (or
-disabled) workers fall back to loading the ``.pgt`` file themselves,
-keeping a tiny per-process LRU of loaded traces which the grid order
-(workload-major) keeps hot. The parent owns every shared block and
+Parallelization strategy: the parent plans each distinct input trace
+*once* (:meth:`TraceStore.plan`): a trace already at hand — in memory or
+in the on-disk trace cache, whose header digest keys the result cache — is
+packed, for the jobs that actually run, as a columnar trace into a
+``multiprocessing.shared_memory`` block that workers attach zero-copy; a
+trace that is missing becomes a *generation task* (compile, simulate, PGT2
+write) on the same worker pool, queued ahead of the analysis jobs. When a
+generated trace lands, the parent resolves its jobs' cache lookups and
+queues the misses, which load the new ``.pgt`` file (or find the trace
+still in the generating worker's memory). So the parent never simulates in
+a parallel run, and analysis of a ready trace overlaps the generation of
+the others. A multi-hundred-thousand-record trace is never pickled per
+job. Workers keep a tiny per-process LRU of loaded traces which the grid
+order (workload-major) keeps hot. The parent owns every shared block and
 closes/unlinks them once the grid drains.
 
 Fault containment: every worker wraps job execution, so an analysis error
@@ -17,7 +21,10 @@ returns a structured failure for that job while the rest of the grid
 proceeds. The parent additionally enforces an optional per-job wall-clock
 timeout and detects crashed workers; in both cases the worker process is
 killed (or found dead), the job is marked failed, and a replacement worker
-is spawned so pool capacity survives bad configs.
+is spawned so pool capacity survives bad configs. Each worker sends its
+results down a pipe of its own, so a worker killed mid-message loses only
+that message; a result queue shared by all workers would keep its write
+lock, and every other worker's results, forever.
 
 Fork-safe bootstrap: workers rebuild all state from (path, spec) messages —
 nothing depends on inherited open file handles or parent caches — so the
@@ -31,13 +38,14 @@ import hashlib
 import json
 import multiprocessing
 import os
-import queue as queue_module
 import signal
 import time
 import traceback
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import Connection
+from multiprocessing.connection import wait as wait_for_any
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import faults
 from repro.engine.cache import ResultCache, cache_key
@@ -55,6 +63,9 @@ from repro.obs import metrics as obs
 from repro.obs.spans import span
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import read_trace_file
+
+if TYPE_CHECKING:
+    from repro.harness.runner import Generation
 
 #: Traces an idle worker keeps loaded/attached (grid order keeps this tiny
 #: LRU hot).
@@ -116,6 +127,8 @@ class JobOutcome:
             metrics off or for cache hits/replays).
         queue_wait: seconds the task sat queued before a worker picked it
             up (0 with metrics off or for in-process execution).
+        trace_digest: content digest of the input trace (``None`` when the
+            trace could not be produced, or for replays).
     """
 
     index: int
@@ -130,6 +143,7 @@ class JobOutcome:
     replayed: bool = False
     phases: Optional[Dict[str, float]] = None
     queue_wait: float = 0.0
+    trace_digest: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -149,7 +163,7 @@ OutcomeListener = Callable[[JobOutcome], None]
 
 def _payload_checksum(result_dict: dict) -> str:
     """Checksum of a result payload in its canonical JSON form. Workers
-    stamp it before the payload crosses the result queue; the parent
+    stamp it before the payload crosses the result pipe; the parent
     recomputes it on receipt, so a mangled payload surfaces as a structured
     job failure (retryable) instead of silently skewing a table."""
     blob = json.dumps(result_dict, sort_keys=True, separators=(",", ":"))
@@ -239,15 +253,56 @@ def _sigterm_to_exit(signum, frame) -> None:
     raise SystemExit(128 + signum)
 
 
+def _keep_trace(traces: "OrderedDict", trace_ref: Tuple[str, str], trace) -> None:
+    """Insert a loaded trace into a worker's LRU, evicting the oldest."""
+    traces[trace_ref] = trace
+    while len(traces) > _WORKER_TRACE_LRU:
+        _, evicted = traces.popitem(last=False)
+        evicted.close()
+
+
+def _generate_payload(task, traces, metrics: bool, queue_wait: float) -> tuple:
+    """Run one generation task (see :func:`repro.harness.runner.generate`)
+    and build its ``JOB_DONE`` payload: the written trace's digest and the
+    full-run length. The simulated trace stays in this worker's LRU under
+    the path reference the grid's jobs on it will carry."""
+    from repro.harness.runner import generate
+
+    done = generate(task)
+    if done.trace is not None and task.trace_path:
+        _keep_trace(traces, ("path", task.trace_path), done.trace)
+    result = {"digest": done.digest, "length": done.length}
+    return result, done.seconds, None, _job_telemetry(metrics, done.phases, queue_wait)
+
+
+class _ResultPipe:
+    """A worker's end of its own result pipe. ``put`` sends synchronously:
+    unlike one queue shared by every worker, there is no feeder thread,
+    and no write lock that a worker killed mid-message (a crash, an OOM
+    kill) takes down with it, leaving every other worker's results stuck
+    behind the lock and the grid hung."""
+
+    def __init__(self, connection):
+        self.connection = connection
+
+    def put(self, message) -> None:
+        self.connection.send(message)
+
+
 def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False) -> None:
     """Worker loop: pull ``(index, job wire form, trace reference, enqueue
-    timestamp)`` tasks until the ``None`` sentinel. All state is rebuilt
-    from the message contents.
+    timestamp)`` tasks until the ``None`` sentinel, and ``put`` each
+    message on ``result_queue`` (the pool passes a :class:`_ResultPipe`).
+    All state is rebuilt from the message contents. A task whose wire form is ``None`` is a
+    generation task: its third field is a
+    :class:`~repro.harness.runner.Generation`, and its index lies past the
+    grid's jobs (fault injection never fires on it).
 
     With ``metrics`` on, each stage runs under a span (trace decode/shm
-    attach, kernel scan, serialization), queue wait is derived from the
-    parent's enqueue timestamp, and the worker's registry delta rides each
-    result payload back to the parent for merging.
+    attach, kernel scan, serialization; compile/simulate/encode/full run
+    for generation), queue wait is derived from the parent's enqueue
+    timestamp, and the worker's registry delta rides each result payload
+    back to the parent for merging.
 
     Shutdown discipline: whether the loop ends via the sentinel, a Ctrl-C
     forwarded to the process group, or the parent's SIGTERM, shared-memory
@@ -284,15 +339,21 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
             queue_wait = 0.0
             if metrics and enqueued is not None:
                 queue_wait = max(0.0, time.time() - enqueued)
-                obs.observe("job.queue_wait", queue_wait)
+                if wire is not None:
+                    obs.observe("job.queue_wait", queue_wait)
             result_queue.put((JOB_STARTED, worker_id, index, None))
-            if faults.fire("crash", index):
-                faults.crash_now()
-            if faults.fire("hang", index):
-                faults.hang_now()
+            if wire is not None:
+                if faults.fire("crash", index):
+                    faults.crash_now()
+                if faults.fire("hang", index):
+                    faults.hang_now()
             start = time.perf_counter()
             phases: Optional[Dict[str, float]] = {} if metrics else None
             try:
+                if wire is None:
+                    payload = _generate_payload(trace_ref, traces, metrics, queue_wait)
+                    result_queue.put((JOB_DONE, worker_id, index, payload))
+                    continue
                 with span("setup", phases=phases):
                     job = AnalysisJob.from_canonical(wire)
                 trace = traces.get(trace_ref)
@@ -303,10 +364,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
                         )
                     with span("trace_load", phases=phases):
                         trace = _load_trace(trace_ref)
-                    traces[trace_ref] = trace
-                    while len(traces) > _WORKER_TRACE_LRU:
-                        _, evicted = traces.popitem(last=False)
-                        evicted.close()
+                    _keep_trace(traces, trace_ref, trace)
                 else:
                     traces.move_to_end(trace_ref)
                 with span("kernel", phases=phases):
@@ -403,7 +461,7 @@ def execute_serial(
         trace_digest = trace.digest()
         key, cached = _cache_lookup(result_cache, trace_digest, job)
         if cached is not None:
-            outcome = JobOutcome(index, job, result=cached, cached=True)
+            outcome = JobOutcome(index, job, result=cached, cached=True, trace_digest=trace_digest)
             outcomes.append(outcome)
             land(outcome)
             emit(JobEvent(JOB_CACHED, index, total, job))
@@ -423,6 +481,7 @@ def execute_serial(
                 detail=traceback.format_exc(),
                 seconds=seconds,
                 phases=phases,
+                trace_digest=trace_digest,
             )
             outcomes.append(outcome)
             land(outcome)
@@ -431,7 +490,9 @@ def execute_serial(
         seconds = time.perf_counter() - start
         if result_cache is not None:
             result_cache.store(key, trace_digest, job, result)
-        outcome = JobOutcome(index, job, result=result, seconds=seconds, phases=phases)
+        outcome = JobOutcome(
+            index, job, result=result, seconds=seconds, phases=phases, trace_digest=trace_digest
+        )
         outcomes.append(outcome)
         land(outcome)
         emit(JobEvent(JOB_DONE, index, total, job, seconds))
@@ -450,15 +511,25 @@ def execute_jobs(
     max_respawns: Optional[int] = None,
     shm_manifest=None,
     metrics: Optional[bool] = None,
+    prepare: Sequence["Generation"] = (),
 ) -> List[JobOutcome]:
     """Execute a job grid, fanning out to ``njobs`` worker processes.
 
     Results come back in submission order regardless of completion order.
-    ``njobs == 1`` (or a single-job grid) runs in-process via
-    :func:`execute_serial`. Each distinct input trace is packed once into
-    a shared-memory columnar block that workers attach zero-copy; any
-    failure to create a block falls back to workers decoding the ``.pgt``
-    files.
+    ``njobs == 1`` (or a single task) runs in-process via
+    :func:`execute_serial`, where the store generates what it misses.
+    Otherwise every input trace missing from the disk cache becomes a
+    generation task on the same pool, queued ahead of the analysis jobs;
+    when it lands, its jobs' cache lookups run and their misses are
+    queued, so analysis of a ready trace overlaps the generation of the
+    others. ``prepare`` adds generation requests of its own
+    (:class:`~repro.harness.runner.Generation` without paths, e.g. Table
+    2's traces with their full runs); whatever they produce lands in the
+    store, never in the returned outcomes. Each distinct trace already at
+    hand is packed once into a shared-memory columnar block that workers
+    attach zero-copy (any failure to create one falls back to workers
+    decoding the ``.pgt`` file); a worker-generated trace is loaded from
+    its file, or straight from the generating worker's memory.
 
     ``on_outcome`` is invoked with each outcome as it lands (journaling
     hook); ``max_respawns`` bounds replacement-worker spawns before the
@@ -471,148 +542,65 @@ def execute_jobs(
     if njobs < 1:
         raise ValueError(f"njobs must be >= 1, got {njobs}")
     metrics = _resolve_metrics(metrics)
-    if njobs == 1 or len(jobs) <= 1:
+    if njobs == 1 or len(jobs) + len(prepare) <= 1:
         return execute_serial(jobs, store, result_cache, progress, on_outcome, metrics)
     if not getattr(store, "directory", None):
         raise EngineError(
             "parallel execution requires a disk-backed TraceStore "
             "(workers load traces from the shared on-disk cache)"
         )
+    from repro.harness import runner
 
     emit = progress or _null_listener
     land = on_outcome or (lambda outcome: None)
     total = len(jobs)
     outcomes: List[Optional[JobOutcome]] = [None] * total
 
-    # Materialize each distinct trace once; collect digests for cache keys.
-    # A trace that cannot be produced (unknown workload, generation error)
-    # fails its jobs — fault containment starts before the pool.
+    # Plan each distinct trace once: at hand (path and digest, which key
+    # the result cache) or to be generated. A trace that cannot be planned
+    # (unknown workload) fails its jobs — fault containment starts before
+    # the pool. A store without a planner materializes traces itself.
+    requests: Dict[tuple, "Generation"] = {
+        (request.workload, request.cap, request.optimize): request for request in prepare
+    }
+    for job in jobs:
+        if job.trace_key not in requests:
+            requests[job.trace_key] = runner.Generation(job.workload, job.cap, job.optimize)
+    planner = getattr(store, "plan", None)
     trace_files: Dict[tuple, Tuple[str, str]] = {}
     trace_errors: Dict[tuple, Tuple[str, str]] = {}
-    for job in jobs:
-        if job.trace_key in trace_files or job.trace_key in trace_errors:
-            continue
+    generations: List[Tuple[tuple, "Generation"]] = []
+    for trace_key, request in requests.items():
         try:
-            trace_files[job.trace_key] = store.ensure_on_disk(
-                job.workload, job.cap, optimize=job.optimize
-            )
-        except Exception as error:  # noqa: BLE001 - bad workload spec, not a crash
-            trace_errors[job.trace_key] = (
-                f"{type(error).__name__}: {error}",
-                traceback.format_exc(),
-            )
-
-    # Resolve cache hits in the parent; only misses reach the pool.
-    pending_tasks: List[Tuple[int, AnalysisJob]] = []
-    keys: Dict[int, Tuple[str, str]] = {}
-    for index, job in enumerate(jobs):
-        if job.trace_key in trace_errors:
-            error, detail = trace_errors[job.trace_key]
-            outcomes[index] = JobOutcome(index, job, error=error, detail=detail)
-            land(outcomes[index])
-            emit(JobEvent(JOB_FAILED, index, total, job, 0.0, error))
-            continue
-        path, trace_digest = trace_files[job.trace_key]
-        key, cached = _cache_lookup(result_cache, trace_digest, job)
-        if cached is not None:
-            outcomes[index] = JobOutcome(index, job, result=cached, cached=True)
-            land(outcomes[index])
-            emit(JobEvent(JOB_CACHED, index, total, job))
-            continue
-        if key is not None:
-            keys[index] = (key, trace_digest)
-        pending_tasks.append((index, job))
-    if not pending_tasks:
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    # One trace reference per distinct input: a shared-memory columnar
-    # block (workers attach zero-copy, nobody re-decodes the trace) with
-    # the .pgt path as the fallback reference. Blocks are owned by the
-    # parent and unlinked in the finally below once the grid drains.
-    shm_blocks: List[object] = []
-    trace_refs: Dict[tuple, Tuple[str, str]] = {}
-    ref_hook = getattr(store, "trace_ref", None)
-    for index, job in enumerate(jobs):
-        trace_key = job.trace_key
-        if outcomes[index] is not None or trace_key in trace_refs:
-            continue
-        path, _ = trace_files[trace_key]
-        ref = ("path", path)
-        if ref_hook is not None:
-            # A store that knows a cheaper way for workers to load this
-            # trace (e.g. a shard store handing out byte-extent slices of
-            # one big file) overrides both shm packing and whole-file
-            # decode; any hook failure falls back to the standard refs.
-            try:
-                hook_ref = ref_hook(job.workload, job.cap, optimize=job.optimize)
-            except Exception:  # noqa: BLE001 - the hook is advisory
-                hook_ref = None
-            if hook_ref is not None:
-                trace_refs[trace_key] = (hook_ref[0], hook_ref[1])
+            if planner is None:
+                trace_files[trace_key] = store.ensure_on_disk(
+                    request.workload, request.cap, optimize=request.optimize
+                )
                 continue
-        try:
-            with span("shm_pack"):
-                block = store.trace(
-                    job.workload, job.cap, optimize=job.optimize
-                ).to_shared_memory()
-        except Exception:  # noqa: BLE001 - shm is an optimization, not a requirement
-            pass
-        else:
-            shm_blocks.append(block)
-            if shm_manifest is not None:
-                shm_manifest.register(block.name)
-            ref = ("shm", block.name)
-        trace_refs[trace_key] = ref
-    enqueued_at = time.time() if metrics else None
-    tasks: List[Tuple[int, dict, Tuple[str, str], Optional[float]]] = [
-        (index, job.canonical(), trace_refs[job.trace_key], enqueued_at)
-        for index, job in pending_tasks
-    ]
+            ready, task = planner(request)
+        except Exception as error:  # noqa: BLE001 - bad workload spec, not a crash
+            trace_errors[trace_key] = (f"{type(error).__name__}: {error}", traceback.format_exc())
+            continue
+        if ready is not None:
+            trace_files[trace_key] = ready
+        if task is not None:
+            generations.append((trace_key, task))
+    # Full runs are the long tasks; start them first.
+    generations.sort(key=lambda item: not item[1].full_run)
+    #: trace key -> indices of the jobs waiting for its generation.
+    waiting: Dict[tuple, List[int]] = {
+        trace_key: [] for trace_key, task in generations if task.cap is not None
+    }
+    for index, job in enumerate(jobs):
+        if job.trace_key in waiting:
+            waiting[job.trace_key].append(index)
+    #: Traces a worker generated: jobs load them from their files.
+    generated: set = set()
 
-    context = multiprocessing.get_context(resolve_start_method(start_method))
-    task_queue = context.Queue()
-    result_queue = context.Queue()
-    for task in tasks:
-        task_queue.put(task)
-    worker_count = min(njobs, len(tasks))
-    for _ in range(worker_count):
-        task_queue.put(None)
-
-    workers: Dict[int, multiprocessing.Process] = {}
-    next_worker_id = 0
-
-    def spawn_worker() -> None:
-        nonlocal next_worker_id
-        if max_respawns is not None and next_worker_id >= worker_count + max_respawns:
-            raise PoolBrokenError(
-                f"worker pool broken: {next_worker_id - worker_count} replacement "
-                f"workers already spawned (limit {max_respawns}); "
-                "the pool, not any one job, is failing"
-            )
-        worker_id = next_worker_id
-        next_worker_id += 1
-        process = context.Process(
-            target=_worker_main,
-            args=(worker_id, task_queue, result_queue, metrics),
-            daemon=True,
-            name=f"paragraph-worker-{worker_id}",
-        )
-        process.start()
-        workers[worker_id] = process
-        if metrics:
-            obs.inc("pool.spawns")
-            if worker_id >= worker_count:
-                obs.inc("pool.respawns")
-            live = obs.registry().gauge("pool.workers.live")
-            if len(workers) > live.value:
-                live.set(len(workers))
-
-    for _ in range(worker_count):
-        spawn_worker()
-
-    #: worker id -> (job index, start wall-clock) while a job is in flight.
-    running: Dict[int, Tuple[int, float]] = {}
-    pending = len(tasks)
+    #: Unresolved tasks: grid jobs plus generations.
+    pending = total + len(generations)
+    #: Task indices (past the grid's jobs) of the generations resolved.
+    resolved_generations: set = set()
 
     def finish(outcome: JobOutcome, kind: str) -> None:
         nonlocal pending
@@ -636,13 +624,218 @@ def execute_jobs(
             )
         )
 
+    # Resolve a job whose trace is settled: a failure or a cache hit lands
+    # its outcome; a miss returns True, to be queued for the pool.
+    keys: Dict[int, str] = {}
+
+    def resolve(index: int) -> bool:
+        job = jobs[index]
+        if job.trace_key in trace_errors:
+            error, detail = trace_errors[job.trace_key]
+            finish(JobOutcome(index, job, error=error, detail=detail), JOB_FAILED)
+            return False
+        _, trace_digest = trace_files[job.trace_key]
+        key, cached = _cache_lookup(result_cache, trace_digest, job)
+        if cached is not None:
+            finish(
+                JobOutcome(index, job, result=cached, cached=True, trace_digest=trace_digest),
+                JOB_CACHED,
+            )
+            return False
+        if key is not None:
+            keys[index] = key
+        return True
+
+    # Cache hits in the parent; only misses reach the pool.
+    runnable = [
+        index
+        for index, job in enumerate(jobs)
+        if job.trace_key not in waiting and resolve(index)
+    ]
+    if pending == 0:
+        return [outcome for outcome in outcomes if outcome is not None]
+
+    # One trace reference per distinct input at hand: a shared-memory
+    # columnar block (workers attach zero-copy, nobody re-decodes the
+    # trace) with the .pgt path as the fallback reference. Blocks are owned
+    # by the parent and unlinked in the finally below once the grid drains.
+    # A worker-generated trace is referenced by its path: packing it would
+    # mean decoding it here first.
+    shm_blocks: List[object] = []
+    trace_refs: Dict[tuple, Tuple[str, str]] = {}
+    ref_hook = getattr(store, "trace_ref", None)
+
+    def trace_ref(job: AnalysisJob) -> Tuple[str, str]:
+        trace_key = job.trace_key
+        if trace_key in trace_refs:
+            return trace_refs[trace_key]
+        path, _ = trace_files[trace_key]
+        ref = ("path", path)
+        if trace_key in generated:
+            trace_refs[trace_key] = ref
+            return ref
+        if ref_hook is not None:
+            # A store that knows a cheaper way for workers to load this
+            # trace (e.g. a shard store handing out byte-extent slices of
+            # one big file) overrides both shm packing and whole-file
+            # decode; any hook failure falls back to the standard refs.
+            try:
+                hook_ref = ref_hook(job.workload, job.cap, optimize=job.optimize)
+            except Exception:  # noqa: BLE001 - the hook is advisory
+                hook_ref = None
+            if hook_ref is not None:
+                trace_refs[trace_key] = (hook_ref[0], hook_ref[1])
+                return trace_refs[trace_key]
+        try:
+            with span("shm_pack"):
+                block = store.trace(
+                    job.workload, job.cap, optimize=job.optimize
+                ).to_shared_memory()
+        except Exception:  # noqa: BLE001 - shm is an optimization, not a requirement
+            pass
+        else:
+            shm_blocks.append(block)
+            if shm_manifest is not None:
+                shm_manifest.register(block.name)
+            ref = ("shm", block.name)
+        trace_refs[trace_key] = ref
+        return ref
+
+    context = multiprocessing.get_context(resolve_start_method(start_method))
+    task_queue = context.Queue()
+    worker_count = min(
+        njobs,
+        len(generations) + len(runnable) + sum(len(indices) for indices in waiting.values()),
+    )
+    sentinels_sent = False
+
+    def close_queue_when_planned() -> None:
+        """Queue the stop sentinels once no generation can queue more
+        jobs (replacement workers consume those of the killed ones)."""
+        nonlocal sentinels_sent
+        if not sentinels_sent and len(resolved_generations) == len(generations):
+            sentinels_sent = True
+            for _ in range(worker_count):
+                task_queue.put(None)
+
+    workers: Dict[int, multiprocessing.Process] = {}
+    #: worker id -> the parent's end of that worker's result pipe.
+    results: Dict[int, Connection] = {}
+    next_worker_id = 0
+
+    def spawn_worker() -> None:
+        nonlocal next_worker_id
+        if max_respawns is not None and next_worker_id >= worker_count + max_respawns:
+            raise PoolBrokenError(
+                f"worker pool broken: {next_worker_id - worker_count} replacement "
+                f"workers already spawned (limit {max_respawns}); "
+                "the pool, not any one job, is failing"
+            )
+        worker_id = next_worker_id
+        next_worker_id += 1
+        reader, writer = context.Pipe(duplex=False)
+        process = context.Process(
+            target=_worker_main,
+            args=(worker_id, task_queue, _ResultPipe(writer), metrics),
+            daemon=True,
+            name=f"paragraph-worker-{worker_id}",
+        )
+        process.start()
+        # Only the worker may hold the write end, so its death reads as EOF.
+        writer.close()
+        workers[worker_id] = process
+        results[worker_id] = reader
+        if metrics:
+            obs.inc("pool.spawns")
+            if worker_id >= worker_count:
+                obs.inc("pool.respawns")
+            live = obs.registry().gauge("pool.workers.live")
+            if len(workers) > live.value:
+                live.set(len(workers))
+
+    #: worker id -> (task index, start wall-clock) while a task is in flight.
+    running: Dict[int, Tuple[int, float]] = {}
+
+    def land_generation(task_index: int, done) -> None:
+        """A generation landed (or failed): hand it to the store, then
+        settle the jobs that waited for its trace."""
+        nonlocal pending
+        if task_index in resolved_generations:
+            return  # already resolved (e.g. timed out before its result arrived)
+        resolved_generations.add(task_index)
+        pending -= 1
+        store.land(done)
+        trace_key = generations[task_index - total][0]
+        if trace_key in waiting:
+            if done.error is None:
+                trace_files[trace_key] = (done.task.trace_path, done.digest)
+                generated.add(trace_key)
+            else:
+                trace_errors[trace_key] = (done.error, done.detail)
+            now = time.time() if metrics else None
+            for index in waiting.pop(trace_key):
+                if resolve(index):
+                    job = jobs[index]
+                    task_queue.put((index, job.canonical(), trace_ref(job), now))
+        close_queue_when_planned()
+
+    def fail_task(
+        task_index: int, error: str, worker_id: Optional[int], seconds: float = 0.0
+    ) -> None:
+        if task_index >= total:
+            task = generations[task_index - total][1]
+            land_generation(
+                task_index, runner.Generated(task, seconds=seconds, worker=worker_id, error=error)
+            )
+        else:
+            job = jobs[task_index]
+            finish(
+                JobOutcome(
+                    task_index,
+                    job,
+                    error=error,
+                    seconds=seconds,
+                    worker=worker_id,
+                    trace_digest=trace_files[job.trace_key][1],
+                ),
+                JOB_FAILED,
+            )
+
+    def handle_generation(kind: str, worker_id: int, index: int, payload) -> None:
+        if kind == JOB_STARTED:
+            running[worker_id] = (index, time.perf_counter())
+            return
+        running.pop(worker_id, None)
+        if kind == JOB_DONE:
+            result, seconds, _, telemetry = payload
+            error = detail = None
+        else:
+            error, detail, seconds, telemetry = payload
+            result = {"digest": None, "length": None}
+        phases, queue_wait = _absorb_telemetry(telemetry)
+        done = runner.Generated(
+            generations[index - total][1],
+            digest=result["digest"],
+            length=result["length"],
+            seconds=seconds,
+            phases=phases or {},
+            worker=worker_id,
+            queue_wait=queue_wait,
+            error=error,
+            detail=detail,
+        )
+        land_generation(index, done)
+
     def handle_message(message) -> None:
         kind, worker_id, index, payload = message
-        job = jobs[index]
         if worker_id not in workers:
             # A terminated worker's last messages can still be sitting in
             # the queue; acting on them would resurrect a dead worker id.
             return
+        if index >= total:
+            handle_generation(kind, worker_id, index, payload)
+            return
+        job = jobs[index]
         if kind == JOB_STARTED:
             running[worker_id] = (index, time.perf_counter())
             emit(JobEvent(JOB_STARTED, index, total, job, worker=worker_id))
@@ -650,6 +843,7 @@ def execute_jobs(
             running.pop(worker_id, None)
             result_dict, seconds, checksum, telemetry = payload
             phases, queue_wait = _absorb_telemetry(telemetry)
+            trace_digest = trace_files[job.trace_key][1]
             if _payload_checksum(result_dict) != checksum:
                 finish(
                     JobOutcome(
@@ -661,14 +855,14 @@ def execute_jobs(
                         worker=worker_id,
                         phases=phases,
                         queue_wait=queue_wait,
+                        trace_digest=trace_digest,
                     ),
                     JOB_FAILED,
                 )
                 return
             result = result_from_dict(result_dict)
             if result_cache is not None and index in keys:
-                key, trace_digest = keys[index]
-                result_cache.store(key, trace_digest, job, result)
+                result_cache.store(keys[index], trace_digest, job, result)
             finish(
                 JobOutcome(
                     index,
@@ -678,6 +872,7 @@ def execute_jobs(
                     worker=worker_id,
                     phases=phases,
                     queue_wait=queue_wait,
+                    trace_digest=trace_digest,
                 ),
                 JOB_DONE,
             )
@@ -695,9 +890,25 @@ def execute_jobs(
                     worker=worker_id,
                     phases=phases,
                     queue_wait=queue_wait,
+                    trace_digest=trace_files[job.trace_key][1],
                 ),
                 JOB_FAILED,
             )
+
+    def receive(worker_id: int) -> None:
+        """Handle every message waiting in one worker's pipe; at its end
+        of file (the worker exited or died) the pipe is closed."""
+        reader = results[worker_id]
+        while True:
+            try:
+                if not reader.poll():
+                    return
+                message = reader.recv()
+            except (EOFError, OSError):
+                reader.close()
+                del results[worker_id]
+                return
+            handle_message(message)
 
     def kill_worker(worker_id: int, index: int, error: str) -> None:
         obs.inc("pool.worker_kills")
@@ -710,44 +921,53 @@ def execute_jobs(
             if process.is_alive():
                 process.kill()
                 process.join(timeout=2.0)
-        seconds = time.perf_counter() - started_at
-        finish(
-            JobOutcome(index, jobs[index], error=error, seconds=seconds, worker=worker_id),
-            JOB_FAILED,
-        )
+        reader = results.pop(worker_id, None)
+        if reader is not None:
+            reader.close()  # what it sent last is moot
+        fail_task(index, error, worker_id, time.perf_counter() - started_at)
         if pending > 0:
             spawn_worker()
 
     #: Backstop for tasks a terminated worker claimed but never reported:
     #: when nothing is running, nothing is queued, and no message arrives
-    #: for a grace period, the unresolved jobs are failed rather than
+    #: for a grace period, the unresolved tasks are failed rather than
     #: hanging the grid.
     idle_since: Optional[float] = None
 
     try:
+        # Generations first, then the jobs whose traces are at hand. Their
+        # blocks are packed before any worker forks, so the workers share
+        # the resource tracker the first block starts.
+        enqueued_at = time.time() if metrics else None
+        for offset, (_, task) in enumerate(generations):
+            task_queue.put((total + offset, None, task, enqueued_at))
+        for index in runnable:
+            job = jobs[index]
+            task_queue.put((index, job.canonical(), trace_ref(job), enqueued_at))
+        close_queue_when_planned()
+        for _ in range(worker_count):
+            spawn_worker()
         while pending > 0:
-            try:
-                handle_message(result_queue.get(timeout=_POLL_INTERVAL))
+            ready = wait_for_any(list(results.values()), timeout=_POLL_INTERVAL)
+            if ready:
+                for worker_id, reader in list(results.items()):
+                    if reader in ready and worker_id in results:
+                        receive(worker_id)
                 idle_since = None
                 continue
-            except queue_module.Empty:
-                pass
             now = time.perf_counter()
             if running or not task_queue.empty():
                 idle_since = None
             elif idle_since is None:
                 idle_since = now
             elif now - idle_since > _IDLE_GRACE:
+                lost = "job lost after worker termination"
+                for offset in range(len(generations)):
+                    if total + offset not in resolved_generations:
+                        fail_task(total + offset, lost, None)
                 for index in range(total):
                     if outcomes[index] is None:
-                        finish(
-                            JobOutcome(
-                                index,
-                                jobs[index],
-                                error="job lost after worker termination",
-                            ),
-                            JOB_FAILED,
-                        )
+                        finish(JobOutcome(index, jobs[index], error=lost), JOB_FAILED)
                 break
             if timeout is not None:
                 for worker_id, (index, started_at) in list(running.items()):
@@ -762,37 +982,26 @@ def execute_jobs(
             for worker_id, process in list(workers.items()):
                 if process.is_alive():
                     continue
-                # Drain any messages it managed to send before dying.
-                drained = True
-                while drained:
-                    try:
-                        handle_message(result_queue.get_nowait())
-                    except queue_module.Empty:
-                        drained = False
+                # Handle any messages it managed to send before dying.
+                if worker_id in results:
+                    receive(worker_id)
                 if worker_id in running:
                     obs.inc("pool.worker_crashes")
                     index, _ = running[worker_id]
                     workers.pop(worker_id)
                     running.pop(worker_id)
-                    finish(
-                        JobOutcome(
-                            index,
-                            jobs[index],
-                            error=f"worker crashed (exit code {process.exitcode})",
-                            worker=worker_id,
-                        ),
-                        JOB_FAILED,
+                    fail_task(
+                        index, f"worker crashed (exit code {process.exitcode})", worker_id
                     )
                     if pending > 0:
                         spawn_worker()
                 elif process.exitcode == 0 or pending == 0 or task_queue.empty():
                     workers.pop(worker_id)
                 else:
-                    # Died with no claimed job on record while work remains:
-                    # its JOB_STARTED message was lost with it (os._exit
-                    # beats the queue feeder thread). Replace it so the
-                    # queue keeps draining; the idle backstop resolves any
-                    # task it claimed silently.
+                    # Died with no claimed job on record while work remains
+                    # (killed between taking a task and reporting it).
+                    # Replace it so the queue keeps draining; the idle
+                    # backstop resolves any task it claimed silently.
                     obs.inc("pool.worker_crashes")
                     workers.pop(worker_id)
                     spawn_worker()
@@ -804,8 +1013,8 @@ def execute_jobs(
                 process.join(timeout=1.0)
         task_queue.close()
         task_queue.cancel_join_thread()
-        result_queue.close()
-        result_queue.cancel_join_thread()
+        for reader in results.values():
+            reader.close()
         for block in shm_blocks:
             try:
                 block.close()

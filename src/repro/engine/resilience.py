@@ -537,10 +537,11 @@ def execute_jobs_resilient(
     sweep_stale_manifests(manifest_dir)
     manifest = ShmManifest(manifest_dir) if njobs > 1 else None
 
-    # Trace digests are only needed for journal identity; without a journal
-    # the executor computes everything it needs itself.
+    # Trace digests are only needed for journal identity. Outcomes carry
+    # the digest of the trace they ran on; only a resume must know them
+    # before anything runs, to find the journal entries it replays.
     trace_digests: Dict[tuple, Optional[str]] = {}
-    if journal is not None:
+    if journal is not None and journal.replay_count:
         for job in jobs:
             if job.trace_key not in trace_digests:
                 trace_digests[job.trace_key] = _trace_digest_for(store, job)
@@ -609,7 +610,9 @@ def execute_jobs_resilient(
                 outcome = dataclasses.replace(
                     outcome, index=index, attempts=attempts[index]
                 )
-                digest = trace_digests.get(job.trace_key) if journal else None
+                digest = None
+                if journal is not None:
+                    digest = outcome.trace_digest or trace_digests.get(job.trace_key)
                 if outcome.ok:
                     final[index] = outcome
                     if journal is not None:

@@ -150,7 +150,9 @@ def table2_suite(source: TraceSource, cap: int = DEFAULT_CAP) -> ExperimentOutpu
             "Paper total instrs",
         ],
     )
-    for workload in all_workloads():
+    workloads = all_workloads()
+    engine.prepare([workload.name for workload in workloads], cap, full_run=True)
+    for workload in workloads:
         trace = engine.trace(workload, cap)
         stats = compute_stats(trace)
         total = engine.store.full_run_length(workload)

@@ -8,6 +8,11 @@ Layout (one JSON object per line, append-only):
   row), carrying status, wall seconds, attempt count, worker id, queue
   wait, and the per-phase wall-time breakdown measured in the process
   that ran the job;
+- ``{"event": "generate", ...}`` — one line per trace generation
+  (compile, simulate, PGT2 write and/or Table 2's full run of one
+  workload), carrying workload, cap, status, wall seconds, worker id,
+  queue wait and the ``compile``/``full_run``/``simulate``/``encode``
+  phase breakdown;
 - ``{"event": "grid", "registry": <snapshot>}`` — one line per completed
   grid, carrying the merged registry snapshot (parent + every worker)
   for that grid.
@@ -60,6 +65,10 @@ class MetricsWriter:
         module stays ignorant of engine types)."""
         self._append({"event": "job", **row})
 
+    def write_generation(self, row: dict) -> None:
+        """One trace generation (the caller builds the row)."""
+        self._append({"event": "generate", **row})
+
     def write_grid(self, snapshot: dict, jobs: int) -> None:
         """One completed grid with its merged registry snapshot."""
         self._append({"event": "grid", "jobs": jobs, "registry": snapshot})
@@ -70,13 +79,15 @@ class MetricsWriter:
 
 
 def load_run(path: str) -> dict:
-    """Parse a metrics file into ``{"run_id", "jobs": [rows], "grids":
-    [rows]}``. A torn final line (interrupted run) is ignored; damage
-    anywhere else raises :class:`MetricsExportError`."""
+    """Parse a metrics file into ``{"run_id", "jobs": [rows],
+    "generations": [rows], "grids": [rows]}``. A torn final line
+    (interrupted run) is ignored; damage anywhere else raises
+    :class:`MetricsExportError`."""
     if not os.path.exists(path):
         raise MetricsExportError(f"no metrics file at {path}")
     run_id: Optional[str] = None
     jobs: List[dict] = []
+    generations: List[dict] = []
     grids: List[dict] = []
     with open(path, "r") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -100,6 +111,8 @@ def load_run(path: str) -> dict:
                 run_id = row.get("run_id")
             elif event == "job":
                 jobs.append(row)
+            elif event == "generate":
+                generations.append(row)
             elif event == "grid":
                 grids.append(row)
-    return {"run_id": run_id, "jobs": jobs, "grids": grids}
+    return {"run_id": run_id, "jobs": jobs, "generations": generations, "grids": grids}

@@ -108,6 +108,36 @@ def render_run_report(run: dict, top: int = 10) -> str:
                 f"{row.get('describe') or row.get('job')}  [{tag}{extra}{where}]"
             )
 
+    generations = run.get("generations") or []
+    if generations:
+        gen_wall = sum(r.get("seconds") or 0.0 for r in generations)
+        gen_failed = sum(1 for r in generations if not r.get("ok"))
+        failed_note = f", {gen_failed} failed" if gen_failed else ""
+        lines.append("")
+        lines.append(f"trace generation: {len(generations)} task(s), {gen_wall:.2f}s{failed_note}")
+        gen_totals: Dict[str, float] = {}
+        for row in generations:
+            for name, seconds in (row.get("phases") or {}).items():
+                gen_totals[name] = gen_totals.get(name, 0.0) + seconds
+        if gen_totals:
+            shares = sorted(gen_totals.items(), key=lambda item: -item[1])
+            lines.append("  phases: " + ", ".join(f"{name} {sec:.3f}s" for name, sec in shares))
+        for row in sorted(generations, key=lambda r: -(r.get("seconds") or 0.0)):
+            what = []
+            if row.get("cap") is not None:
+                what.append(f"cap {row['cap']}" + (" opt" if row.get("optimize") else ""))
+            if row.get("full_run"):
+                what.append("full run")
+            worker = row.get("worker")
+            where = f" w{worker}" if worker is not None else ""
+            row_phases = (row.get("phases") or {}).items()
+            phases = " ".join(f"{name}={sec:.3f}" for name, sec in row_phases)
+            status = "" if row.get("ok") else "  FAILED"
+            lines.append(
+                f"  {row.get('seconds') or 0.0:8.3f}s  {row.get('workload')} "
+                f"({', '.join(what)}){where}  {phases}{status}"
+            )
+
     attempts_hist: Dict[int, int] = {}
     for row in rows:
         n = int(row.get("attempts") or 1)

@@ -40,7 +40,9 @@ a python scan without); no per-record tuples are built.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
+import tempfile
 from array import array
 from typing import BinaryIO, Iterable, Tuple
 
@@ -163,9 +165,27 @@ def write_trace(
 def write_trace_file(path, trace) -> str:
     """Write an in-memory trace (a
     :class:`~repro.trace.columnar.ColumnarTrace`) to ``path``, packing
-    from its records; returns its digest."""
-    with open(path, "wb") as stream:
-        return write_trace(stream, trace, trace.segments, len(trace))
+    from its records; returns its digest.
+
+    The file is written under a temporary name in the same directory and
+    renamed over ``path`` once complete, so a writer killed mid-stream
+    never leaves a ``path`` whose header still holds the zero digest
+    :func:`write_trace` starts with."""
+    path = os.fspath(path)
+    handle = tempfile.NamedTemporaryFile(
+        "wb", dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".pgt", delete=False
+    )
+    try:
+        with handle:
+            digest = write_trace(handle, trace, trace.segments, len(trace))
+        os.replace(handle.name, path)
+    except BaseException:
+        try:
+            os.remove(handle.name)
+        except OSError:
+            pass
+        raise
+    return digest
 
 
 def read_header(stream: BinaryIO) -> Tuple[SegmentMap, int, str]:

@@ -187,6 +187,9 @@ class TestFaultContainment:
             engine.analyze_grid([AnalysisJob("nonesuch", CAP)])
 
     def test_timeout_kills_job_but_not_grid(self, tmp_path):
+        # The limit also bounds generation on the pool, so the fast job's
+        # trace is made beforehand; the slow one times out generating.
+        TraceStore(str(tmp_path / "traces")).ensure_on_disk("xlispx", CAP)
         engine = ExperimentEngine(
             store=TraceStore(str(tmp_path / "traces")), jobs=2, timeout=0.05
         )

@@ -193,6 +193,40 @@ class TestWorkerCrashRecovery:
         assert_no_shm_leaks(tmp_path)
 
 
+    def test_death_mid_message_costs_only_that_job(
+        self, serial_bytes, tmp_path, monkeypatch
+    ):
+        """A worker killed halfway through writing a result must not wedge
+        the others: its half message reads as its pipe's end, the job is
+        retried, and the grid completes."""
+        import multiprocessing
+        import struct
+
+        from repro.engine import pool
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patched send reaches workers only when they fork")
+        monkeypatch.setenv(ENV_MANIFEST_DIR, str(tmp_path / "shm-manifests"))
+        ticket = tmp_path / "died-once"
+        real_put = pool._ResultPipe.put
+
+        def dying_put(self, message):
+            kind, _, index, _ = message
+            if kind == "done" and index == 2 and not ticket.exists():
+                ticket.touch()
+                os.write(self.connection.fileno(), struct.pack("!i", 4096) + b"half")
+                os._exit(17)
+            real_put(self, message)
+
+        monkeypatch.setattr(pool._ResultPipe, "put", dying_put)
+        engine = engine_for(tmp_path, retries=2, jobs=2)
+        results = engine.analyze_grid(grid())
+        assert [result_to_bytes(result) for result in results] == serial_bytes
+        retried = [e for e in engine.telemetry.events if e.kind == JOB_RETRY]
+        assert [e.index for e in retried] == [2]
+        assert "worker crashed (exit code 17)" in retried[0].error
+
+
 class TestHangRecovery:
     def test_hung_worker_killed_and_retried_without_stalling(
         self, serial_bytes, tmp_path, fault_env
@@ -227,6 +261,11 @@ class TestCorruptResultRecovery:
 class TestShmAttachRecovery:
     def test_attach_failure_retried(self, serial_bytes, tmp_path, fault_env):
         fault_env("shm@0")
+        # Only traces at hand travel as shared-memory blocks (a trace the
+        # pool generates is loaded from its file), so warm the cache first.
+        warm = TraceStore(str(tmp_path / "traces"))
+        for workload in WORKLOADS:
+            warm.ensure_on_disk(workload, CAP)
         engine = engine_for(tmp_path, retries=2, jobs=2)
         results = engine.analyze_grid(grid())
         assert [result_to_bytes(result) for result in results] == serial_bytes

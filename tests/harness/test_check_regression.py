@@ -55,15 +55,52 @@ class TestComparison:
         assert "nothing compared" in proc.stdout
 
 
-def gate_entry(name, mean, backend, kernel="generic", gate="backend"):
+def gate_entry(name, mean, backend, kernel="generic", gate="backend", minimum=None):
     row = entry(name, mean)
+    row["stats"]["min"] = mean if minimum is None else minimum
     row["extra_info"] = {"backend": backend, "kernel": kernel, "gate": gate}
     return row
 
 
 class TestBackendGate:
     """--backend-gate finds its row pair by stable extra_info metadata and
-    gates on the same-run python/numpy speedup ratio."""
+    gates on the same-run python/numpy speedup ratio of minimum times."""
+
+    def test_ratio_of_minimums_not_means(self, tmp_path):
+        """One slow numpy round inflates its mean (2.4x by means) while the
+        minimums keep the real 6x edge: the gate passes on minimums."""
+        fresh = bench_json(
+            tmp_path / "fresh.json",
+            [
+                gate_entry("test_backend_gate_python", 0.120, "python", minimum=0.114),
+                gate_entry("test_backend_gate_numpy", 0.050, "numpy", minimum=0.019),
+            ],
+        )
+        proc = run(fresh, "--backend-gate")
+        assert proc.returncode == 0, proc.stdout
+        assert "6.00x" in proc.stdout
+
+    def test_minimums_gate_even_when_means_pass(self, tmp_path):
+        fresh = bench_json(
+            tmp_path / "fresh.json",
+            [
+                gate_entry("test_backend_gate_python", 0.300, "python", minimum=0.100),
+                gate_entry("test_backend_gate_numpy", 0.020, "numpy", minimum=0.025),
+            ],
+        )
+        proc = run(fresh, "--backend-gate")
+        assert proc.returncode == 1
+        assert "4.00x" in proc.stdout
+
+    def test_gate_row_without_min_exits_two(self, tmp_path):
+        rows = [
+            gate_entry("test_backend_gate_python", 0.120, "python"),
+            gate_entry("test_backend_gate_numpy", 0.017, "numpy"),
+        ]
+        del rows[1]["stats"]["min"]
+        proc = run(bench_json(tmp_path / "fresh.json", rows), "--backend-gate")
+        assert proc.returncode == 2
+        assert "min" in proc.stderr
 
     def test_healthy_speedup_exits_zero(self, tmp_path):
         fresh = bench_json(

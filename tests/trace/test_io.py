@@ -58,6 +58,38 @@ class TestRoundTrip:
         assert loaded.digest() == trace.digest()
 
 
+class TestAtomicWrite:
+    def test_write_failing_mid_stream_leaves_nothing(self, tmp_path, monkeypatch):
+        """A writer that dies after the zero-digest header is out must not
+        leave a file at the target path (its header digest would read
+        ``00...0`` and key result-cache entries), nor a temp file."""
+        import repro.trace.io as trace_io
+
+        real_pack = trace_io._pack_record
+        calls = []
+
+        def failing_pack(record):
+            calls.append(record)
+            if len(calls) == 50:
+                raise OSError("disk went away")
+            return real_pack(record)
+
+        monkeypatch.setattr(trace_io, "_pack_record", failing_pack)
+        path = tmp_path / "t.pgt"
+        with pytest.raises(OSError, match="disk went away"):
+            write_trace_file(path, random_trace(seed=3, length=200))
+        assert len(calls) == 50
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rewrite_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "t.pgt"
+        write_trace_file(path, random_trace(seed=4, length=300))
+        small = random_trace(seed=5, length=20)
+        assert write_trace_file(path, small) == read_trace_digest(path)
+        assert list(read_trace_file(path)) == list(small)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["t.pgt"]
+
+
 class TestDigest:
     def test_write_returns_header_digest(self, tmp_path):
         trace = random_trace(seed=7, length=120)
