@@ -293,8 +293,8 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
     """Worker loop: pull ``(index, job wire form, trace reference, enqueue
     timestamp)`` tasks until the ``None`` sentinel, and ``put`` each
     message on ``result_queue`` (the pool passes a :class:`_ResultPipe`).
-    All state is rebuilt from the message contents. A task whose wire form is ``None`` is a
-    generation task: its third field is a
+    All state is rebuilt from the message contents. A task whose wire
+    form is ``None`` is a generation task: its third field is a
     :class:`~repro.harness.runner.Generation`, and its index lies past the
     grid's jobs (fault injection never fires on it).
 
