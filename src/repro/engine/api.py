@@ -17,6 +17,7 @@ experiment code, only this object's construction.
 
 from __future__ import annotations
 
+import logging
 import tempfile
 from typing import List, Optional, Sequence, Union
 
@@ -40,6 +41,8 @@ from repro.engine.serialize import JobResult
 from repro.obs import metrics as obs
 from repro.obs.export import MetricsWriter
 from repro.obs.export import metrics_path as default_metrics_path
+
+logger = logging.getLogger(__name__)
 
 
 def outcome_row(outcome: JobOutcome) -> dict:
@@ -328,8 +331,9 @@ class ExperimentEngine:
 
         A :class:`~repro.harness.runner.TruncatedRunError` raised by a
         worker's full run is raised here with its message. Any other
-        failure is left to the caller's read, which retries it in-process
-        and raises the real error."""
+        failed generation (a worker error, a job-timeout kill, a crash) is
+        logged as a warning and left to the caller's read, which retries
+        it in-process and raises the real error."""
         from repro.harness.runner import Generation, TruncatedRunError
 
         if self.jobs == 1:
@@ -348,10 +352,20 @@ class ExperimentEngine:
             )
         finally:
             done = self._export_generations(self.store)
-        prefix = f"{TruncatedRunError.__name__}: "
+        truncated = None
         for generation in done:
-            if generation.error and generation.error.startswith(prefix):
-                raise TruncatedRunError(generation.error[len(prefix) :])
+            if generation.error is None:
+                continue
+            if generation.error_type == TruncatedRunError.__name__:
+                truncated = truncated or generation
+                continue
+            logger.warning(
+                "generating %s failed on the pool (%s); its read retries in-process",
+                generation.task.workload,
+                generation.error,
+            )
+        if truncated is not None:
+            raise TruncatedRunError(truncated.error[len(truncated.error_type) + 2 :])
 
     def analyze_grid(self, grid: Sequence[AnalysisJob]) -> List[JobResult]:
         """Execute a grid strictly: results in submission order, or

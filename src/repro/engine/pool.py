@@ -8,8 +8,8 @@ packed, for the jobs that actually run, as a columnar trace into a
 trace that is missing becomes a *generation task* (compile, simulate, PGT2
 write) on the same worker pool, queued ahead of the analysis jobs. When a
 generated trace lands, the parent resolves its jobs' cache lookups and
-queues the misses, which load the new ``.pgt`` file (or find the trace
-still in the generating worker's memory). So the parent never simulates in
+queues the misses, which load the new ``.pgt`` file. So the parent never
+simulates in
 a parallel run, and analysis of a ready trace overlaps the generation of
 the others. A multi-hundred-thousand-record trace is never pickled per
 job. Workers keep a tiny per-process LRU of loaded traces which the grid
@@ -261,16 +261,13 @@ def _keep_trace(traces: "OrderedDict", trace_ref: Tuple[str, str], trace) -> Non
         evicted.close()
 
 
-def _generate_payload(task, traces, metrics: bool, queue_wait: float) -> tuple:
+def _generate_payload(task, metrics: bool, queue_wait: float) -> tuple:
     """Run one generation task (see :func:`repro.harness.runner.generate`)
     and build its ``JOB_DONE`` payload: the written trace's digest and the
-    full-run length. The simulated trace stays in this worker's LRU under
-    the path reference the grid's jobs on it will carry."""
+    full-run length. The jobs on the trace load it from its file."""
     from repro.harness.runner import generate
 
     done = generate(task)
-    if done.trace is not None and task.trace_path:
-        _keep_trace(traces, ("path", task.trace_path), done.trace)
     result = {"digest": done.digest, "length": done.length}
     return result, done.seconds, None, _job_telemetry(metrics, done.phases, queue_wait)
 
@@ -351,7 +348,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
             phases: Optional[Dict[str, float]] = {} if metrics else None
             try:
                 if wire is None:
-                    payload = _generate_payload(trace_ref, traces, metrics, queue_wait)
+                    payload = _generate_payload(trace_ref, metrics, queue_wait)
                     result_queue.put((JOB_DONE, worker_id, index, payload))
                     continue
                 with span("setup", phases=phases):
@@ -397,6 +394,7 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
                     traceback.format_exc(),
                     time.perf_counter() - start,
                     _job_telemetry(metrics, phases, queue_wait),
+                    type(error).__name__,
                 )
                 result_queue.put((JOB_FAILED, worker_id, index, payload))
     except SystemExit as error:
@@ -529,7 +527,7 @@ def execute_jobs(
     hand is packed once into a shared-memory columnar block that workers
     attach zero-copy (any failure to create one falls back to workers
     decoding the ``.pgt`` file); a worker-generated trace is loaded from
-    its file, or straight from the generating worker's memory.
+    its file.
 
     ``on_outcome`` is invoked with each outcome as it lands (journaling
     hook); ``max_respawns`` bounds replacement-worker spawns before the
@@ -808,9 +806,9 @@ def execute_jobs(
         running.pop(worker_id, None)
         if kind == JOB_DONE:
             result, seconds, _, telemetry = payload
-            error = detail = None
+            error = detail = error_type = None
         else:
-            error, detail, seconds, telemetry = payload
+            error, detail, seconds, telemetry, error_type = payload
             result = {"digest": None, "length": None}
         phases, queue_wait = _absorb_telemetry(telemetry)
         done = runner.Generated(
@@ -822,6 +820,7 @@ def execute_jobs(
             worker=worker_id,
             queue_wait=queue_wait,
             error=error,
+            error_type=error_type,
             detail=detail,
         )
         land_generation(index, done)
@@ -878,7 +877,7 @@ def execute_jobs(
             )
         elif kind == JOB_FAILED:
             running.pop(worker_id, None)
-            error, detail, seconds, telemetry = payload
+            error, detail, seconds, telemetry, _ = payload
             phases, queue_wait = _absorb_telemetry(telemetry)
             finish(
                 JobOutcome(

@@ -104,8 +104,10 @@ class Generated:
     trace's digest, the full-run length, wall seconds with their
     ``compile``/``full_run``/``simulate``/``encode`` phases, and, when it
     ran on a pool worker, that worker's id and the task's queue wait. A
-    failed task carries ``error``/``detail`` instead of results; ``trace``
-    is the simulated trace itself and is set only in-process."""
+    failed task carries ``error``/``detail`` instead of results, and
+    ``error_type``, the name of the exception a worker raised (``None``
+    when the worker was killed or crashed); ``trace`` is the simulated
+    trace itself and is set only in-process."""
 
     task: Generation
     digest: Optional[str] = None
@@ -115,6 +117,7 @@ class Generated:
     worker: Optional[int] = None
     queue_wait: float = 0.0
     error: Optional[str] = None
+    error_type: Optional[str] = None
     detail: Optional[str] = None
     trace: Optional[ColumnarTrace] = None
 

@@ -240,18 +240,10 @@ class ServeStore:
     def full_run_length(self, workload) -> int:
         return self._base.full_run_length(workload)
 
-    def plan(self, request):
-        """An upload is always at hand (spilled to disk here); a suite
-        workload is planned by the base store, so the pool generates it."""
-        if request.workload in self._uploads:
-            return self.ensure_on_disk(request.workload, request.cap, request.optimize), None
-        return self._base.plan(request)
-
-    def land(self, done) -> None:
-        self._base.land(done)
-
     @property
     def generations(self):
+        """The base store's landed generations, which the engine drains
+        into the metrics export after each grid."""
         return self._base.generations
 
 

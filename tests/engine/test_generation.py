@@ -140,6 +140,37 @@ class TestPrepare:
         assert not any(name.endswith(".fullrun.json") for name in os.listdir(tmp_path / "traces"))
 
 
+    @needs_fork
+    def test_other_worker_failure_is_logged_then_read_in_process(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        simulations = simulation_log(monkeypatch, tmp_path)
+        real_trace = Workload.trace
+
+        def exploding_trace(self, *args, **kwargs):
+            if self.name == "eqntottx":
+                raise RuntimeError("simulator exploded")
+            return real_trace(self, *args, **kwargs)
+
+        monkeypatch.setattr(Workload, "trace", exploding_trace)
+        engine = ExperimentEngine(store=TraceStore(str(tmp_path / "traces")), jobs=2)
+        with pytest.raises(RuntimeError, match="^simulator exploded$"):
+            run_experiment("table2", engine, CAP)
+        warnings = [
+            record.getMessage()
+            for record in caplog.records
+            if record.levelname == "WARNING" and record.name == "repro.engine.api"
+        ]
+        assert warnings == [
+            "generating eqntottx failed on the pool (RuntimeError: simulator exploded); "
+            "its read retries in-process"
+        ]
+        # The worker's full run went first and kept its sidecar; nothing
+        # of eqntottx was simulated in the parent.
+        assert (tmp_path / "traces" / "eqntottx.fullrun.json").exists()
+        assert str(os.getpid()) not in {pid for pid, _ in simulations()}
+
+
 class TestGridGeneration:
     def test_unknown_workload_fails_only_its_jobs(self, tmp_path):
         engine = ExperimentEngine(store=TraceStore(str(tmp_path / "traces")), jobs=2)

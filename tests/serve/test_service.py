@@ -144,3 +144,19 @@ class TestUploadSpecValidation:
         name, _ = store.add_upload(_trace(count=6), size=100)
         with pytest.raises(SpecError, match="optimize"):
             job_from_spec({"workload": name, "optimize": True}, store)
+
+
+class TestGenerationExport:
+    def test_service_grid_drains_its_generations(self, tmp_path):
+        """A suite trace the service generates lands in the base store's
+        ``generations``; the engine drains it through the serve store
+        after the grid, so a long-lived service does not pile them up."""
+        from repro.engine import AnalysisJob
+
+        service = AnalysisService(
+            ServeConfig(jobs=1, trace_dir=str(tmp_path / "traces"), metrics=False)
+        )
+        (outcome,) = service.engine.run_grid([AnalysisJob("xlispx", 300)])
+        assert outcome.ok
+        assert (tmp_path / "traces" / "xlispx.300.pgt").exists()
+        assert service.store.generations == []
