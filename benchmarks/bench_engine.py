@@ -89,8 +89,8 @@ def test_grid_cold_vs_warm(benchmark, njobs, store, cap, check_shapes,
 
 def test_resilience_overhead_clean_run(benchmark, store, cap, check_shapes,
                                        serial_reference):
-    """The resilience layer (retry rounds, failure classification, shm
-    manifest bookkeeping) must be free when nothing fails: a clean serial
+    """The resilience layer (retry rounds, failure classification) must be
+    free when nothing fails: a clean serial
     grid through ``ExperimentEngine(retries=2)`` versus the raw executor,
     <2% overhead target. Medians of interleaved runs — single-shot ratios
     on a shared single-core runner swing tens of percent either way."""

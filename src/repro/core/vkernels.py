@@ -6,8 +6,8 @@ time. This module evaluates the *same* placement rule —
 level-frontier batches instead:
 
 1. **Index** (:func:`_build_index`): zero-copy ``numpy.frombuffer``
-   views over the existing ``array('q')``/shared-memory columns are
-   sorted once by (location, access ordinal) to recover, with a handful
+   views over the existing ``array('q')`` columns are sorted once by
+   (location, access ordinal) to recover, with a handful
    of prefix scans, every RAW edge (last write before each read), every
    WAR edge (each read to the next write of its location), and the
    token structure (which write each read binds to) that the live-well
@@ -103,8 +103,7 @@ def eligible(config: AnalysisConfig) -> bool:
 
 
 def _col(column):
-    """Zero-copy int64 view of one columnar array (array('q') or a
-    shared-memory memoryview — any contiguous buffer of q)."""
+    """Zero-copy int64 view of one ``array('q')`` column."""
     if len(column):
         return _np.frombuffer(memoryview(column), dtype=_np.int64)
     return _np.empty(0, dtype=_np.int64)

@@ -14,7 +14,7 @@ Public surface:
 - :class:`ResultCache` — content-addressed on-disk result cache;
 - :class:`JobOutcome` / :class:`JobFailedError` — per-job terminal states;
 - progress events and telemetry in :mod:`repro.engine.progress`;
-- fault tolerance (retry/backoff, run journals, shm sweeps) in
+- fault tolerance (retry/backoff, run journals) in
   :mod:`repro.engine.resilience`, and the deterministic fault-injection
   harness that pins it in :mod:`repro.engine.faults`;
 - observability (phase spans, counters, JSONL run metrics) lives in
@@ -45,10 +45,8 @@ from repro.engine.resilience import (
     TRANSIENT,
     RetryPolicy,
     RunJournal,
-    ShmManifest,
     classify_failure,
     execute_jobs_resilient,
-    sweep_stale_manifests,
 )
 
 __all__ = [
@@ -64,7 +62,6 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
     "RunJournal",
-    "ShmManifest",
     "TRANSIENT",
     "cache_key",
     "classify_failure",
@@ -74,5 +71,4 @@ __all__ = [
     "execute_serial",
     "fanout",
     "metrics_listener",
-    "sweep_stale_manifests",
 ]

@@ -1,9 +1,8 @@
 """Deterministic fault injection for the engine (test and CI harness).
 
 Production dynamic-analysis runs die in ways unit tests never exercise:
-workers are OOM-killed mid-job, hang past their deadline, ship back a
-payload mangled by a bad DIMM, or fail to attach a shared-memory block the
-parent swears it created. This module makes every one of those failures
+workers are OOM-killed mid-job, hang past their deadline, or ship back a
+payload mangled by a bad DIMM. This module makes every one of those failures
 *injectable on demand and reproducible bit-for-bit*, so the recovery paths
 in :mod:`repro.engine.resilience` are pinned by tests instead of trusted.
 
@@ -19,7 +18,6 @@ both ``fork`` and ``spawn`` with zero plumbing:
   crash@k    hard process death (``os._exit``) — models OOM kill/segv
   hang@k     sleep far past any per-job timeout — models a stuck job
   corrupt@k  mangle the result payload after its checksum is taken
-  shm@k      raise on the shared-memory attach — models a reaped block
   ========== =========================================================
 
   The target is a grid index or ``*`` (every job). An ``xN`` suffix fires
@@ -49,7 +47,7 @@ ENV_SPEC = "REPRO_FAULTS"
 ENV_DIR = "REPRO_FAULTS_DIR"
 
 #: Recognized fault kinds, in the order the worker checks them.
-KINDS = ("crash", "hang", "corrupt", "shm")
+KINDS = ("crash", "hang", "corrupt")
 
 #: Seconds a ``hang`` fault sleeps — far past any sane per-job timeout.
 HANG_SECONDS = 3600.0

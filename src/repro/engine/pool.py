@@ -3,18 +3,17 @@
 Parallelization strategy: the parent plans each distinct input trace
 *once* (:meth:`TraceStore.plan`): a trace already at hand — in memory or
 in the on-disk trace cache, whose header digest keys the result cache — is
-packed, for the jobs that actually run, as a columnar trace into a
-``multiprocessing.shared_memory`` block that workers attach zero-copy; a
-trace that is missing becomes a *generation task* (compile, simulate, PGT2
-write) on the same worker pool, queued ahead of the analysis jobs. When a
-generated trace lands, the parent resolves its jobs' cache lookups and
-queues the misses, which load the new ``.pgt`` file. So the parent never
-simulates in
-a parallel run, and analysis of a ready trace overlaps the generation of
-the others. A multi-hundred-thousand-record trace is never pickled per
-job. Workers keep a tiny per-process LRU of loaded traces which the grid
-order (workload-major) keeps hot. The parent owns every shared block and
-closes/unlinks them once the grid drains.
+decoded once in the parent, for the jobs that actually run, before any
+worker forks; the parent hands the workers those decoded traces as a
+process argument, which a forked worker inherits without a copy or a
+pickle. A trace that is missing becomes a *generation task* (compile,
+simulate, PGT2 write) on the same worker pool, queued ahead of the
+analysis jobs. When a generated trace lands, the parent resolves its jobs'
+cache lookups and queues the misses, which load the new ``.pgt`` file. So
+the parent never simulates in a parallel run, and analysis of a ready
+trace overlaps the generation of the others. A multi-hundred-thousand-record
+trace is never pickled per job. Workers keep a tiny per-process LRU of the
+trace files they decode, which the grid order (workload-major) keeps hot.
 
 Fault containment: every worker wraps job execution, so an analysis error
 returns a structured failure for that job while the rest of the grid
@@ -26,10 +25,11 @@ results down a pipe of its own, so a worker killed mid-message loses only
 that message; a result queue shared by all workers would keep its write
 lock, and every other worker's results, forever.
 
-Fork-safe bootstrap: workers rebuild all state from (path, spec) messages —
-nothing depends on inherited open file handles or parent caches — so the
-pool runs identically under ``fork`` (fast, the default where available)
-and ``spawn``.
+Fork-safe bootstrap: workers rebuild all state from (path, spec) messages
+and the decoded-trace argument — nothing depends on inherited open file
+handles or parent caches — so the pool runs identically under ``fork``
+(fast, the default where available) and ``spawn``, where the argument is
+pickled once per worker: slower, but the same results.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from repro.trace.io import read_trace_file
 if TYPE_CHECKING:
     from repro.harness.runner import Generation
 
-#: Traces an idle worker keeps loaded/attached (grid order keeps this tiny
+#: Trace files an idle worker keeps decoded (grid order keeps this tiny
 #: LRU hot).
 _WORKER_TRACE_LRU = 2
 
@@ -219,14 +219,18 @@ def _absorb_telemetry(telemetry: Optional[dict]):
 # -- worker side ---------------------------------------------------------------
 
 
-def _load_trace(trace_ref: Tuple[str, str]):
-    """Resolve a ``(kind, target)`` trace reference: attach a shared-memory
-    columnar block zero-copy, decode one byte-extent slice of a trace file
+def _load_trace(
+    trace_ref: Tuple[str, str], memory: Optional[Dict[str, ColumnarTrace]] = None
+):
+    """Resolve a ``(kind, target)`` trace reference: look a trace the parent
+    decoded up in ``memory``, decode one byte-extent slice of a trace file
     (a shard segment, digest-verified in isolation), or decode a whole
     ``.pgt`` file."""
     kind, target = trace_ref
-    if kind == "shm":
-        return ColumnarTrace.from_shared_memory(target)
+    if kind == "memory":
+        if memory is None or target not in memory:
+            raise EngineError(f"no in-memory trace {target!r} was handed to this worker")
+        return memory[target]
     if kind == "slice":
         from repro.trace.chunked import decode_slice
         from repro.trace.segments import SegmentMap
@@ -248,8 +252,8 @@ def _load_trace(trace_ref: Tuple[str, str]):
 
 
 def _sigterm_to_exit(signum, frame) -> None:
-    """Turn the parent's ``terminate()`` into an orderly unwind so the
-    worker's cleanup path (shm detach, queue release) runs."""
+    """Turn the parent's ``terminate()`` into an orderly unwind through the
+    worker's exit path."""
     raise SystemExit(128 + signum)
 
 
@@ -257,8 +261,7 @@ def _keep_trace(traces: "OrderedDict", trace_ref: Tuple[str, str], trace) -> Non
     """Insert a loaded trace into a worker's LRU, evicting the oldest."""
     traces[trace_ref] = trace
     while len(traces) > _WORKER_TRACE_LRU:
-        _, evicted = traces.popitem(last=False)
-        evicted.close()
+        traces.popitem(last=False)
 
 
 def _generate_payload(task, metrics: bool, queue_wait: float) -> tuple:
@@ -286,28 +289,32 @@ class _ResultPipe:
         self.connection.send(message)
 
 
-def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False) -> None:
+def _worker_main(
+    worker_id: int,
+    task_queue,
+    result_queue,
+    metrics: bool = False,
+    memory: Optional[Dict[str, ColumnarTrace]] = None,
+) -> None:
     """Worker loop: pull ``(index, job wire form, trace reference, enqueue
     timestamp)`` tasks until the ``None`` sentinel, and ``put`` each
     message on ``result_queue`` (the pool passes a :class:`_ResultPipe`).
-    All state is rebuilt from the message contents. A task whose wire
-    form is ``None`` is a generation task: its third field is a
-    :class:`~repro.harness.runner.Generation`, and its index lies past the
-    grid's jobs (fault injection never fires on it).
+    All state is rebuilt from the message contents and ``memory``, the
+    parent's decoded traces that ``("memory", key)`` references name. A
+    task whose wire form is ``None`` is a generation task: its third field
+    is a :class:`~repro.harness.runner.Generation`, and its index lies past
+    the grid's jobs (fault injection never fires on it).
 
-    With ``metrics`` on, each stage runs under a span (trace decode/shm
-    attach, kernel scan, serialization; compile/simulate/encode/full run
+    With ``metrics`` on, each stage runs under a span (trace lookup or
+    decode, kernel scan, serialization; compile/simulate/encode/full run
     for generation), queue wait is derived from the parent's enqueue
     timestamp, and the worker's registry delta rides each result payload
     back to the parent for merging.
 
-    Shutdown discipline: whether the loop ends via the sentinel, a Ctrl-C
-    forwarded to the process group, or the parent's SIGTERM, shared-memory
-    attachments are closed before interpreter teardown (a ``SharedMemory``
-    finalized while column views are still exported raises noisy
-    ``BufferError``/resource-tracker warnings at exit). An interrupted
-    worker then leaves through ``os._exit``: the interrupt may have left a
-    queue's internal lock held, which its close finalizer would deadlock on.
+    Shutdown discipline: a worker interrupted by a Ctrl-C forwarded to the
+    process group or by the parent's SIGTERM leaves through ``os._exit``:
+    the interrupt may have left a queue's internal lock held, which its
+    close finalizer would deadlock on.
     """
     # A forked worker inherits the parent's signal wakeup fd. If the parent
     # runs an asyncio loop (repro.serve), that fd is the loop's self-pipe:
@@ -355,13 +362,12 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
                     job = AnalysisJob.from_canonical(wire)
                 trace = traces.get(trace_ref)
                 if trace is None:
-                    if trace_ref[0] == "shm" and faults.fire("shm", index):
-                        raise RuntimeError(
-                            f"injected shm attach failure for block {trace_ref[1]!r}"
-                        )
                     with span("trace_load", phases=phases):
-                        trace = _load_trace(trace_ref)
-                    _keep_trace(traces, trace_ref, trace)
+                        trace = _load_trace(trace_ref, memory)
+                    # The parent's decoded traces are held already;
+                    # caching one would only evict a decoded file.
+                    if trace_ref[0] != "memory":
+                        _keep_trace(traces, trace_ref, trace)
                 else:
                     traces.move_to_end(trace_ref)
                 with span("kernel", phases=phases):
@@ -402,8 +408,6 @@ def _worker_main(worker_id: int, task_queue, result_queue, metrics: bool = False
     except KeyboardInterrupt:
         exit_code = 128 + signal.SIGINT
     finally:
-        for trace in traces.values():
-            trace.close()
         if exit_code is not None:
             # Interrupted mid-grid. The signal can land inside a queue's
             # put while this thread holds the queue's lock, and the queues'
@@ -507,7 +511,6 @@ def execute_jobs(
     start_method: Optional[str] = None,
     on_outcome: Optional[OutcomeListener] = None,
     max_respawns: Optional[int] = None,
-    shm_manifest=None,
     metrics: Optional[bool] = None,
     prepare: Sequence["Generation"] = (),
 ) -> List[JobOutcome]:
@@ -524,18 +527,15 @@ def execute_jobs(
     (:class:`~repro.harness.runner.Generation` without paths, e.g. Table
     2's traces with their full runs); whatever they produce lands in the
     store, never in the returned outcomes. Each distinct trace already at
-    hand is packed once into a shared-memory columnar block that workers
-    attach zero-copy (any failure to create one falls back to workers
-    decoding the ``.pgt`` file); a worker-generated trace is loaded from
-    its file.
+    hand is decoded once in the parent, before the first fork, and handed
+    to every worker (inherited under ``fork``, pickled under ``spawn``); a
+    worker-generated trace is loaded from its file.
 
     ``on_outcome`` is invoked with each outcome as it lands (journaling
     hook); ``max_respawns`` bounds replacement-worker spawns before the
-    pool declares itself broken with :class:`PoolBrokenError`;
-    ``shm_manifest`` (a :class:`~repro.engine.resilience.ShmManifest`)
-    records every shared-memory block the parent creates so a SIGKILL'd
-    run's blocks can be swept by the next one; ``metrics`` turns per-phase
-    instrumentation on (``None`` inherits the process/environment state).
+    pool declares itself broken with :class:`PoolBrokenError`; ``metrics``
+    turns per-phase instrumentation on (``None`` inherits the
+    process/environment state).
     """
     if njobs < 1:
         raise ValueError(f"njobs must be >= 1, got {njobs}")
@@ -653,51 +653,46 @@ def execute_jobs(
     if pending == 0:
         return [outcome for outcome in outcomes if outcome is not None]
 
-    # One trace reference per distinct input at hand: a shared-memory
-    # columnar block (workers attach zero-copy, nobody re-decodes the
-    # trace) with the .pgt path as the fallback reference. Blocks are owned
-    # by the parent and unlinked in the finally below once the grid drains.
-    # A worker-generated trace is referenced by its path: packing it would
-    # mean decoding it here first.
-    shm_blocks: List[object] = []
+    # One trace reference per distinct input at hand: the parent's decoded
+    # trace, named by key in ``memory``, which every worker receives as a
+    # process argument; so every memory reference is made before the first
+    # fork. A worker-generated trace, or any trace first referenced after
+    # the fork, is referenced by its path: workers decode the file.
+    memory: Dict[str, ColumnarTrace] = {}
     trace_refs: Dict[tuple, Tuple[str, str]] = {}
     ref_hook = getattr(store, "trace_ref", None)
 
     def trace_ref(job: AnalysisJob) -> Tuple[str, str]:
         trace_key = job.trace_key
-        if trace_key in trace_refs:
-            return trace_refs[trace_key]
+        if trace_key not in trace_refs:
+            trace_refs[trace_key] = make_ref(job)
+            obs.inc(f"pool.trace_ref.{trace_refs[trace_key][0]}")
+        return trace_refs[trace_key]
+
+    def make_ref(job: AnalysisJob) -> Tuple[str, str]:
+        trace_key = job.trace_key
         path, _ = trace_files[trace_key]
-        ref = ("path", path)
         if trace_key in generated:
-            trace_refs[trace_key] = ref
-            return ref
+            return ("path", path)
         if ref_hook is not None:
             # A store that knows a cheaper way for workers to load this
             # trace (e.g. a shard store handing out byte-extent slices of
-            # one big file) overrides both shm packing and whole-file
-            # decode; any hook failure falls back to the standard refs.
+            # one big file) overrides the parent's decode; any hook
+            # failure falls back to the standard refs.
             try:
                 hook_ref = ref_hook(job.workload, job.cap, optimize=job.optimize)
             except Exception:  # noqa: BLE001 - the hook is advisory
                 hook_ref = None
             if hook_ref is not None:
-                trace_refs[trace_key] = (hook_ref[0], hook_ref[1])
-                return trace_refs[trace_key]
+                return (hook_ref[0], hook_ref[1])
+        if next_worker_id:
+            return ("path", path)
+        key = ":".join(map(str, trace_key))
         try:
-            with span("shm_pack"):
-                block = store.trace(
-                    job.workload, job.cap, optimize=job.optimize
-                ).to_shared_memory()
-        except Exception:  # noqa: BLE001 - shm is an optimization, not a requirement
-            pass
-        else:
-            shm_blocks.append(block)
-            if shm_manifest is not None:
-                shm_manifest.register(block.name)
-            ref = ("shm", block.name)
-        trace_refs[trace_key] = ref
-        return ref
+            memory[key] = store.trace(job.workload, job.cap, optimize=job.optimize)
+        except Exception:  # noqa: BLE001 - a worker's decode then fails the jobs
+            return ("path", path)
+        return ("memory", key)
 
     context = multiprocessing.get_context(resolve_start_method(start_method))
     task_queue = context.Queue()
@@ -734,7 +729,7 @@ def execute_jobs(
         reader, writer = context.Pipe(duplex=False)
         process = context.Process(
             target=_worker_main,
-            args=(worker_id, task_queue, _ResultPipe(writer), metrics),
+            args=(worker_id, task_queue, _ResultPipe(writer), metrics, memory),
             daemon=True,
             name=f"paragraph-worker-{worker_id}",
         )
@@ -934,9 +929,8 @@ def execute_jobs(
     idle_since: Optional[float] = None
 
     try:
-        # Generations first, then the jobs whose traces are at hand. Their
-        # blocks are packed before any worker forks, so the workers share
-        # the resource tracker the first block starts.
+        # Generations first, then the jobs whose traces are at hand, which
+        # the parent decodes here, before any worker forks.
         enqueued_at = time.time() if metrics else None
         for offset, (_, task) in enumerate(generations):
             task_queue.put((total + offset, None, task, enqueued_at))
@@ -1014,13 +1008,5 @@ def execute_jobs(
         task_queue.cancel_join_thread()
         for reader in results.values():
             reader.close()
-        for block in shm_blocks:
-            try:
-                block.close()
-                block.unlink()
-            except OSError:  # already gone (e.g. external cleanup)
-                pass
-            if shm_manifest is not None:
-                shm_manifest.release(block.name)
 
     return [outcome for outcome in outcomes if outcome is not None]

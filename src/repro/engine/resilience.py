@@ -1,16 +1,15 @@
-"""Fault-tolerant grid execution: retry/backoff, journaled resume, sweeps.
+"""Fault-tolerant grid execution: retry/backoff, journaled resume, degradation.
 
 The experiment grids of the paper (Tables 2-4, Figures 7-8) are hours-long
 multi-config sweeps at production trace sizes; a single OOM-killed worker,
-stuck job, corrupt cache entry, or leaked ``/dev/shm`` segment must never
-cost the whole run. This module wraps :func:`repro.engine.pool.execute_jobs`
-with the policies that make a grid survivable:
+stuck job, or corrupt cache entry must never cost the whole run. This
+module wraps :func:`repro.engine.pool.execute_jobs` with the policies that
+make a grid survivable:
 
 **Failure taxonomy.** Every failed outcome is classified *transient* (worker
-crash, per-job timeout, shm attach failure, corrupted result payload,
-trace/cache IO errors — retrying can help) or *permanent* (unknown
-workload, analysis exception, digest mismatch — deterministic, retrying is
-waste). Transient failures are retried with exponential backoff plus
+crash, per-job timeout, corrupted result payload, trace/cache IO errors —
+retrying can help) or *permanent* (unknown workload, analysis exception,
+digest mismatch — deterministic, retrying is waste). Transient failures are retried with exponential backoff plus
 deterministic jitter; a job still failing after its attempt budget is
 *quarantined* — reported failed with the attempt count, never retried again.
 
@@ -24,23 +23,16 @@ the unfinished half.
 **Graceful degradation.** A pool whose replacement-worker budget is
 exhausted (:class:`~repro.engine.pool.PoolBrokenError`) falls back to
 in-process serial execution with a loud warning instead of aborting — slow
-results beat no results. Shared-memory blocks are registered in a per-process
-:class:`ShmManifest` swept on startup, at exit, and on SIGTERM, so even a
-SIGKILL'd run never leaks ``/dev/shm`` segments past the next invocation.
+results beat no results.
 """
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
-import errno
 import hashlib
 import json
 import logging
 import os
-import signal
-import tempfile
-import threading
 import time
 import uuid
 from dataclasses import dataclass
@@ -77,7 +69,6 @@ _TRANSIENT_MARKERS = (
     "worker crashed",            # liveness sweep found the process dead
     "timeout:",                  # per-job wall-clock limit enforced
     "job lost after worker termination",  # claimed task never reported
-    "shm attach",                # shared-memory block vanished/failed
     "corrupted result payload",  # parent-side checksum mismatch
     "truncated",                 # trace/cache file cut short (IO error)
     "FileNotFoundError",         # cache/trace file reaped under us
@@ -295,186 +286,6 @@ class RunJournal:
         return len(self._replay)
 
 
-# -- shared-memory manifest ----------------------------------------------------
-
-
-#: Environment override for the manifest directory (test isolation, CI).
-ENV_MANIFEST_DIR = "REPRO_SHM_MANIFEST_DIR"
-
-
-def default_manifest_dir() -> str:
-    """Where run manifests live unless told otherwise (stable across runs
-    of the same user on the same machine, which is what makes the startup
-    sweep find a dead run's leavings)."""
-    override = os.environ.get(ENV_MANIFEST_DIR)
-    if override:
-        return override
-    return os.path.join(tempfile.gettempdir(), "paragraph-shm")
-
-
-def _unlink_block(name: str) -> bool:
-    """Best-effort unlink of a shared-memory block by name; ``True`` when a
-    block was actually reclaimed."""
-    from multiprocessing import shared_memory
-
-    try:
-        try:
-            block = shared_memory.SharedMemory(name=name, create=False, track=False)
-        except TypeError:  # Python < 3.13: no track parameter
-            block = shared_memory.SharedMemory(name=name, create=False)
-    except FileNotFoundError:
-        return False
-    try:
-        block.unlink()
-    except FileNotFoundError:  # lost a race with another sweeper
-        pass
-    block.close()
-    return True
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # exists, owned by someone else
-        return True
-    except OSError as error:
-        return error.errno not in (errno.ESRCH,)
-    return True
-
-
-class ShmManifest:
-    """Parent-side ledger of live shared-memory blocks, persisted to
-    ``<dir>/<pid>.manifest`` so blocks survive being forgotten but never
-    survive being leaked: a later run finds the manifest of a dead pid and
-    unlinks everything it names."""
-
-    def __init__(self, directory: Optional[str] = None):
-        self.directory = directory or default_manifest_dir()
-        os.makedirs(self.directory, exist_ok=True)
-        self._pid = os.getpid()
-        self.path = os.path.join(self.directory, f"{self._pid}.manifest")
-        self._names: List[str] = []
-
-    def _write(self) -> None:
-        if not self._names:
-            try:
-                os.remove(self.path)
-            except OSError:
-                pass
-            return
-        blob = "".join(f"{name}\n" for name in self._names)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.directory, prefix=".tmp-", delete=False
-        )
-        with handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(handle.name, self.path)
-
-    def register(self, name: str) -> None:
-        """Record a block *before* it can leak (called at creation)."""
-        if name not in self._names:
-            self._names.append(name)
-            self._write()
-
-    def release(self, name: str) -> None:
-        """Forget a block that was cleanly unlinked."""
-        if name in self._names:
-            self._names.remove(name)
-            self._write()
-
-    def sweep_own(self) -> List[str]:
-        """Unlink every block still on this run's ledger (atexit/SIGTERM
-        path). A no-op in forked children — only the process that created
-        the blocks may reap them."""
-        if os.getpid() != self._pid:
-            return []
-        reclaimed = [name for name in self._names if _unlink_block(name)]
-        self._names = []
-        self._write()
-        return reclaimed
-
-
-def sweep_stale_manifests(directory: Optional[str] = None) -> List[str]:
-    """Startup sweep: reclaim the shared-memory blocks of every manifest
-    whose owning process is gone (SIGKILL'd runs can't clean up after
-    themselves, so the *next* run does it for them). Returns the names of
-    the blocks actually unlinked."""
-    directory = directory or default_manifest_dir()
-    if not os.path.isdir(directory):
-        return []
-    reclaimed: List[str] = []
-    for filename in os.listdir(directory):
-        if not filename.endswith(".manifest"):
-            continue
-        try:
-            pid = int(filename[: -len(".manifest")])
-        except ValueError:
-            continue
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
-        path = os.path.join(directory, filename)
-        try:
-            with open(path, "r") as handle:
-                names = [line.strip() for line in handle if line.strip()]
-        except OSError:
-            continue
-        for name in names:
-            if _unlink_block(name):
-                reclaimed.append(name)
-        try:
-            os.remove(path)
-        except OSError:
-            pass
-    if reclaimed:
-        logger.warning(
-            "swept %d leaked shared-memory block(s) from dead runs: %s",
-            len(reclaimed),
-            ", ".join(reclaimed),
-        )
-    return reclaimed
-
-
-class _ShmGuard:
-    """atexit + SIGTERM coverage for one manifest's lifetime. SIGINT needs
-    no handler (KeyboardInterrupt unwinds through the ``finally`` chain);
-    SIGKILL needs none either (the next run's startup sweep covers it)."""
-
-    def __init__(self, manifest: ShmManifest):
-        self.manifest = manifest
-        self._previous = None
-        self._installed = False
-
-    def __enter__(self):
-        atexit.register(self.manifest.sweep_own)
-        try:
-            if threading.current_thread() is threading.main_thread():
-                self._previous = signal.getsignal(signal.SIGTERM)
-                if self._previous in (signal.SIG_DFL, None):
-                    signal.signal(signal.SIGTERM, self._on_sigterm)
-                    self._installed = True
-        except (ValueError, OSError):
-            self._installed = False
-        return self
-
-    def _on_sigterm(self, signum, frame) -> None:
-        self.manifest.sweep_own()
-        signal.signal(signum, signal.SIG_DFL)
-        os.kill(os.getpid(), signum)
-
-    def __exit__(self, *exc_info):
-        if self._installed:
-            try:
-                signal.signal(signal.SIGTERM, self._previous)
-            except (ValueError, OSError):
-                pass
-        atexit.unregister(self.manifest.sweep_own)
-        return False
-
-
 # -- resilient execution -------------------------------------------------------
 
 
@@ -510,7 +321,6 @@ def execute_jobs_resilient(
     retry: Optional[RetryPolicy] = None,
     journal: Optional[RunJournal] = None,
     fail_fast: bool = False,
-    manifest_dir: Optional[str] = None,
     sleep: Callable[[float], None] = time.sleep,
     metrics: Optional[bool] = None,
 ) -> List[JobOutcome]:
@@ -524,18 +334,13 @@ def execute_jobs_resilient(
     - every terminal outcome journaled as it lands when ``journal`` is
       given, and journal entries replayed instead of re-executed;
     - pool-level failure (:class:`PoolBrokenError`) degrading the rest of
-      the grid to in-process serial execution with a loud warning;
-    - stale shared-memory manifests swept before the pool starts, and this
-      run's blocks guarded by manifest + atexit/SIGTERM hooks.
+      the grid to in-process serial execution with a loud warning.
     """
     retry = retry or RetryPolicy()
     emit = progress or (lambda event: None)
     total = len(jobs)
     final: List[Optional[JobOutcome]] = [None] * total
     attempts = [0] * total
-
-    sweep_stale_manifests(manifest_dir)
-    manifest = ShmManifest(manifest_dir) if njobs > 1 else None
 
     # Trace digests are only needed for journal identity. Outcomes carry
     # the digest of the trace they ran on; only a resume must know them
@@ -575,129 +380,113 @@ def execute_jobs_resilient(
             reason,
         )
 
-    guard_context = _ShmGuard(manifest) if manifest is not None else None
-    try:
-        if guard_context is not None:
-            guard_context.__enter__()
-        rounds = 0
-        while True:
-            pending = [index for index in range(total) if final[index] is None]
-            if not pending:
-                break
-            rounds += 1
-            if rounds > retry.max_attempts + 2:  # belt over suspenders
-                for index in pending:
-                    final[index] = JobOutcome(
-                        index, jobs[index], error="retry scheduling stuck; giving up"
-                    )
-                break
-
-            mapping = list(pending)
-            batch = [jobs[index] for index in pending]
-            retry_queue: List[int] = []
-            retrying = set()
-
-            def remap_event(event: JobEvent) -> None:
-                index = mapping[event.index]
-                if event.kind == JOB_FAILED and index in retrying:
-                    return  # already reported as a retry event by land()
-                emit(dataclasses.replace(event, index=index, total=total))
-
-            def land(outcome: JobOutcome) -> None:
-                index = mapping[outcome.index]
-                job = jobs[index]
-                attempts[index] += 1
-                outcome = dataclasses.replace(
-                    outcome, index=index, attempts=attempts[index]
+    rounds = 0
+    while True:
+        pending = [index for index in range(total) if final[index] is None]
+        if not pending:
+            break
+        rounds += 1
+        if rounds > retry.max_attempts + 2:  # belt over suspenders
+            for index in pending:
+                final[index] = JobOutcome(
+                    index, jobs[index], error="retry scheduling stuck; giving up"
                 )
-                digest = None
-                if journal is not None:
-                    digest = outcome.trace_digest or trace_digests.get(job.trace_key)
-                if outcome.ok:
-                    final[index] = outcome
-                    if journal is not None:
-                        journal.record_outcome(outcome, digest)
-                    return
-                category = classify_failure(outcome.error)
-                if category == TRANSIENT and attempts[index] < retry.max_attempts:
-                    if journal is not None:
-                        journal.record_attempt(outcome, digest, attempts[index])
-                    if any(marker in outcome.error for marker in _INVALIDATE_MARKERS):
-                        invalidate = getattr(store, "invalidate", None)
-                        if invalidate is not None:
-                            invalidate(job.workload, job.cap, optimize=job.optimize)
-                    retry_queue.append(index)
-                    retrying.add(index)
-                    obs.inc("retry.scheduled")
-                    emit(
-                        JobEvent(
-                            JOB_RETRY, index, total, job,
-                            outcome.seconds, outcome.error, outcome.worker,
-                        )
-                    )
-                    return
-                if category == TRANSIENT and retry.max_attempts > 1:
-                    obs.inc("jobs.quarantined")
-                    outcome = dataclasses.replace(
-                        outcome,
-                        error=f"{outcome.error} "
-                        f"[quarantined after {attempts[index]} attempts]",
-                    )
+            break
+
+        mapping = list(pending)
+        batch = [jobs[index] for index in pending]
+        retry_queue: List[int] = []
+        retrying = set()
+
+        def remap_event(event: JobEvent) -> None:
+            index = mapping[event.index]
+            if event.kind == JOB_FAILED and index in retrying:
+                return  # already reported as a retry event by land()
+            emit(dataclasses.replace(event, index=index, total=total))
+
+        def land(outcome: JobOutcome) -> None:
+            index = mapping[outcome.index]
+            job = jobs[index]
+            attempts[index] += 1
+            outcome = dataclasses.replace(
+                outcome, index=index, attempts=attempts[index]
+            )
+            digest = None
+            if journal is not None:
+                digest = outcome.trace_digest or trace_digests.get(job.trace_key)
+            if outcome.ok:
                 final[index] = outcome
                 if journal is not None:
                     journal.record_outcome(outcome, digest)
-                if fail_fast:
-                    raise _FailFastAbort(outcome)
+                return
+            category = classify_failure(outcome.error)
+            if category == TRANSIENT and attempts[index] < retry.max_attempts:
+                if journal is not None:
+                    journal.record_attempt(outcome, digest, attempts[index])
+                if any(marker in outcome.error for marker in _INVALIDATE_MARKERS):
+                    invalidate = getattr(store, "invalidate", None)
+                    if invalidate is not None:
+                        invalidate(job.workload, job.cap, optimize=job.optimize)
+                retry_queue.append(index)
+                retrying.add(index)
+                obs.inc("retry.scheduled")
+                emit(
+                    JobEvent(
+                        JOB_RETRY, index, total, job,
+                        outcome.seconds, outcome.error, outcome.worker,
+                    )
+                )
+                return
+            if category == TRANSIENT and retry.max_attempts > 1:
+                obs.inc("jobs.quarantined")
+                outcome = dataclasses.replace(
+                    outcome,
+                    error=f"{outcome.error} "
+                    f"[quarantined after {attempts[index]} attempts]",
+                )
+            final[index] = outcome
+            if journal is not None:
+                journal.record_outcome(outcome, digest)
+            if fail_fast:
+                raise _FailFastAbort(outcome)
 
-            effective_njobs = 1 if degraded else njobs
-            worker_count = min(effective_njobs, len(batch))
-            try:
-                execute_jobs(
-                    batch,
-                    store,
-                    njobs=effective_njobs,
-                    result_cache=result_cache,
-                    timeout=timeout,
-                    progress=remap_event,
-                    start_method=start_method,
-                    on_outcome=land,
-                    max_respawns=max(4, 2 * worker_count),
-                    shm_manifest=manifest,
-                    metrics=metrics,
-                )
-            except PoolBrokenError as error:
-                degrade(str(error))
-                continue
-            except _FailFastAbort as abort:
-                for index in range(total):
-                    if final[index] is None:
-                        final[index] = JobOutcome(
-                            index,
-                            jobs[index],
-                            error="skipped: fail-fast abort after job "
-                            f"{abort.outcome.job.short_digest} "
-                            f"({abort.outcome.job.describe()}) failed",
-                        )
-                break
+        effective_njobs = 1 if degraded else njobs
+        worker_count = min(effective_njobs, len(batch))
+        try:
+            execute_jobs(
+                batch,
+                store,
+                njobs=effective_njobs,
+                result_cache=result_cache,
+                timeout=timeout,
+                progress=remap_event,
+                start_method=start_method,
+                on_outcome=land,
+                max_respawns=max(4, 2 * worker_count),
+                metrics=metrics,
+            )
+        except PoolBrokenError as error:
+            degrade(str(error))
+            continue
+        except _FailFastAbort as abort:
+            for index in range(total):
+                if final[index] is None:
+                    final[index] = JobOutcome(
+                        index,
+                        jobs[index],
+                        error="skipped: fail-fast abort after job "
+                        f"{abort.outcome.job.short_digest} "
+                        f"({abort.outcome.job.describe()}) failed",
+                    )
+            break
 
-            if retry_queue:
-                delay = max(
-                    retry.delay(attempts[index], jobs[index].digest())
-                    for index in retry_queue
-                )
-                if delay > 0:
-                    with span("retry_backoff"):
-                        sleep(delay)
-    finally:
-        if guard_context is not None:
-            guard_context.__exit__(None, None, None)
-        if manifest is not None:
-            leaked = manifest.sweep_own()
-            if leaked:
-                logger.warning(
-                    "reclaimed %d shared-memory block(s) at grid end: %s",
-                    len(leaked),
-                    ", ".join(leaked),
-                )
+        if retry_queue:
+            delay = max(
+                retry.delay(attempts[index], jobs[index].digest())
+                for index in retry_queue
+            )
+            if delay > 0:
+                with span("retry_backoff"):
+                    sleep(delay)
 
     return [outcome for outcome in final if outcome is not None]

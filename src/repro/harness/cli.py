@@ -63,7 +63,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=2,
         help="retries per job for transient failures (worker crash, "
-        "timeout, shm attach, IO), with exponential backoff; a job still "
+        "timeout, IO), with exponential backoff; a job still "
         "failing afterwards is quarantined (default: 2, 0 disables)",
     )
     parser.add_argument(

@@ -16,7 +16,7 @@ from repro.obs.export import MetricsExportError, load_run, metrics_path
 from repro.obs.metrics import MetricsRegistry
 
 #: Phase display order (anything unknown renders after these).
-_PHASE_ORDER = ("queue_wait", "setup", "trace_load", "kernel", "serialize")
+_PHASE_ORDER = ("setup", "trace_load", "kernel", "serialize")
 
 
 def merged_registry(run: dict) -> MetricsRegistry:
@@ -28,11 +28,11 @@ def merged_registry(run: dict) -> MetricsRegistry:
 
 
 def _phase_totals(rows: List[dict]) -> Dict[str, float]:
+    """Seconds per job phase, summed over jobs. Queue wait is not a phase:
+    every queued job waits from the moment the grid is queued, while
+    other jobs run, so the waits overlap the work and each other."""
     totals: Dict[str, float] = {}
     for row in rows:
-        wait = row.get("queue_wait") or 0.0
-        if wait:
-            totals["queue_wait"] = totals.get("queue_wait", 0.0) + wait
         for name, seconds in (row.get("phases") or {}).items():
             totals[name] = totals.get(name, 0.0) + seconds
     return totals
@@ -92,6 +92,12 @@ def render_run_report(run: dict, top: int = 10) -> str:
         for name, seconds in _ordered_phases(totals):
             share = 100.0 * seconds / phase_sum if phase_sum else 0.0
             lines.append(f"  {name:<12} {seconds:9.3f}s  {share:5.1f}%")
+    waits = [r["queue_wait"] for r in rows if r.get("queue_wait")]
+    if waits:
+        lines.append(
+            f"  queue wait {sum(waits):.3f}s over {len(waits)} queued job(s), "
+            f"{sum(waits) / len(waits):.3f}s mean per job (overlaps the phases)"
+        )
 
     slowest = sorted(executed, key=lambda r: -(r.get("seconds") or 0.0))[:top]
     if slowest:

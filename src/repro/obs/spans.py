@@ -1,7 +1,7 @@
 """Lightweight phase spans: wall + CPU time per named pipeline phase.
 
-A span brackets one phase of one job — queue wait, trace decode/shm
-attach, kernel scan, serialization, retry backoff — and records its wall
+A span brackets one phase of one job — queue wait, trace lookup or
+decode, kernel scan, serialization, retry backoff — and records its wall
 and CPU time into the active registry as ``span.<name>.wall`` /
 ``span.<name>.cpu`` histograms plus a ``span.<name>.count`` counter.
 Optionally it also accumulates the wall time into a plain ``phases`` dict,

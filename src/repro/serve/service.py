@@ -101,7 +101,7 @@ class ServeStore:
 
     Uploads are registered in the base store's memory cache under a
     content-derived name (``upload-<digest prefix>``), so the engine pool's
-    disk-spill and shared-memory machinery work on them unchanged (the
+    disk spill and decoded-trace hand-off work on them unchanged (the
     same composition trick as ``repro.verify``'s ``GeneratedTraceStore``);
     suite workload names fall through to the normal store.
 

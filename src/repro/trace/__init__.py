@@ -1,6 +1,6 @@
 """Trace layer: record format, columnar traces, binary IO, statistics, synthesis."""
 
-from repro.trace.columnar import ColumnarTrace, SharedTraceError
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.io import read_trace_file, write_trace_file
 from repro.trace.record import (
     FLAG_CONDITIONAL,
@@ -20,7 +20,6 @@ from repro.trace.synthetic import TraceBuilder, independent_ops, random_trace, s
 
 __all__ = [
     "ColumnarTrace",
-    "SharedTraceError",
     "read_trace_file",
     "write_trace_file",
     "FLAG_CONDITIONAL",

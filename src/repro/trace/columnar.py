@@ -21,8 +21,7 @@ Record ``i``'s sources are ``src_values[src_offsets[i]:src_offsets[i+1]]``
 allocation. Every producer returns columns: the simulator's record list
 is flattened once by :meth:`ColumnarTrace.from_buffer`, PGT2 files decode
 straight into columns (:func:`repro.trace.io.read_trace_file`), and the
-parallel engine's workers attach a parent's copy zero-copy from POSIX
-shared memory.
+parallel engine's forked workers inherit the parent's decoded copy.
 
 Consumers that want records — the reference analyzer, two-pass, the
 oracle, the baselines — iterate the trace. Iteration zips the scalar
@@ -32,13 +31,11 @@ any other records with equal operands) shares one tuple object, so the
 view costs little more than two lists of pointers.
 
 Content identity is preserved across every form: ``digest()`` equals the
-PGT2 header digest of the same records and the digest embedded in a
-shared-memory block's header.
+PGT2 header digest of the same records.
 """
 
 from __future__ import annotations
 
-import struct
 from array import array
 from itertools import accumulate, chain, islice
 from operator import itemgetter
@@ -51,12 +48,6 @@ from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
 
 _SYSCALL = int(OpClass.SYSCALL)
 _BRANCH = int(OpClass.BRANCH)
-
-#: Shared-memory block header: magic, data_base, stack_floor, stack_top,
-#: record count, source count, destination count, raw sha256 digest.
-#: 72 bytes — a multiple of 8, so the ``q`` columns that follow stay aligned.
-_SHM_MAGIC = b"PGC1"
-_SHM_HEADER = struct.Struct("<4sIIIQQQ32s")
 
 
 def _split(values, counts) -> list:
@@ -83,17 +74,8 @@ def _split(values, counts) -> list:
     return tuples
 
 
-class SharedTraceError(Exception):
-    """Raised when a shared-memory trace block is malformed."""
-
-
 class ColumnarTrace:
-    """A trace as flat columns (see module docstring).
-
-    Columns are ``array('q')`` when built locally and zero-copy
-    ``memoryview`` casts when attached to shared memory; both index
-    identically, so the placement loops never care which they were handed.
-    """
+    """A trace as flat ``array('q')`` columns (see module docstring)."""
 
     __slots__ = (
         "opclass",
@@ -108,8 +90,6 @@ class ColumnarTrace:
         "_census",
         "_operand_counts",
         "_operand_tuples",
-        "_shm",
-        "_views",
         "_vk_index",
     )
 
@@ -137,8 +117,6 @@ class ColumnarTrace:
         self._census = None
         self._operand_counts = None
         self._operand_tuples = None
-        self._shm = None
-        self._views = ()
         # Access-index cache for the vectorized backend
         # (repro.core.vkernels), keyed by syscall policy.
         self._vk_index: dict = {}
@@ -323,136 +301,3 @@ class ColumnarTrace:
         if whole:
             return src_tuples, dest_tuples
         return src_tuples[start:end], dest_tuples[start:end]
-
-    # -- shared memory -----------------------------------------------------
-
-    def _columns(self) -> Tuple:
-        return (
-            self.opclass,
-            self.flags,
-            self.aux,
-            self.src_offsets,
-            self.src_values,
-            self.dest_offsets,
-            self.dest_values,
-        )
-
-    def nbytes(self) -> int:
-        """Size of a shared-memory block holding this trace."""
-        return _SHM_HEADER.size + 8 * sum(len(column) for column in self._columns())
-
-    def to_shared_memory(self, name: Optional[str] = None):
-        """Pack this trace into a new ``multiprocessing.shared_memory``
-        block and return the ``SharedMemory`` object.
-
-        The caller owns the block: it must keep the returned handle alive
-        while attachments exist and ``close()``/``unlink()`` it afterwards
-        (the engine does this around a grid run).
-        """
-        from multiprocessing import shared_memory
-
-        from repro.obs import metrics as obs
-
-        obs.inc("trace_shm.packs")
-        obs.inc("trace_shm.packed_bytes", self.nbytes())
-        segments = self.segments
-        shm = shared_memory.SharedMemory(name=name, create=True, size=self.nbytes())
-        buf = shm.buf
-        _SHM_HEADER.pack_into(
-            buf,
-            0,
-            _SHM_MAGIC,
-            segments.data_base,
-            segments.stack_floor,
-            segments.stack_top,
-            len(self),
-            len(self.src_values),
-            len(self.dest_values),
-            bytes.fromhex(self.digest()),
-        )
-        offset = _SHM_HEADER.size
-        for column in self._columns():
-            nbytes = 8 * len(column)
-            if nbytes:
-                chunk = buf[offset:offset + nbytes]
-                view = chunk.cast("q")
-                view[:] = column
-                view.release()
-                chunk.release()
-            offset += nbytes
-        return shm
-
-    @classmethod
-    def from_shared_memory(cls, name: str) -> "ColumnarTrace":
-        """Attach to a block written by :meth:`to_shared_memory`.
-
-        The columns are zero-copy ``memoryview`` casts into the block; the
-        attachment is held by the returned trace and released by
-        :meth:`close` (or process exit). The block itself stays owned by
-        its creator — attaching never unlinks.
-        """
-        from multiprocessing import shared_memory
-
-        from repro.obs import metrics as obs
-
-        obs.inc("trace_shm.attaches")
-
-        try:
-            # Python >= 3.13: opt out of resource tracking for attachments.
-            shm = shared_memory.SharedMemory(name=name, create=False, track=False)
-        except TypeError:
-            # Older interpreters register the attachment with the resource
-            # tracker. Attachers here are always multiprocessing children of
-            # the block's creator, so they share the creator's tracker and
-            # the extra register is a duplicate set-add; the creator's
-            # unlink-time unregister cleans it up exactly once.
-            shm = shared_memory.SharedMemory(name=name, create=False)
-        try:
-            header = _SHM_HEADER.unpack_from(shm.buf, 0)
-        except struct.error:
-            shm.close()
-            raise SharedTraceError(f"shared trace block {name!r}: truncated header")
-        magic, data_base, stack_floor, stack_top, count, nsrc, ndest = header[:7]
-        if magic != _SHM_MAGIC:
-            shm.close()
-            raise SharedTraceError(f"shared trace block {name!r}: bad magic {magic!r}")
-        digest = header[7].hex()
-        lengths = (count, count, count, count + 1, nsrc, count + 1, ndest)
-        size = len(shm.buf)
-        if size < _SHM_HEADER.size + 8 * sum(lengths):
-            shm.close()
-            raise SharedTraceError(
-                f"shared trace block {name!r}: {size} bytes is too "
-                f"small for {count} records"
-            )
-        views = []
-        columns = []
-        offset = _SHM_HEADER.size
-        for length in lengths:
-            chunk = shm.buf[offset:offset + 8 * length]
-            column = chunk.cast("q")
-            views.append(chunk)
-            views.append(column)
-            columns.append(column)
-            offset += 8 * length
-        trace = cls(
-            *columns,
-            SegmentMap(data_base=data_base, stack_floor=stack_floor, stack_top=stack_top),
-            digest=digest,
-        )
-        trace._shm = shm
-        trace._views = tuple(views)
-        return trace
-
-    def close(self) -> None:
-        """Release a shared-memory attachment (no-op for local traces)."""
-        if self._shm is None:
-            return
-        # The vectorized backend caches zero-copy frombuffer views of the
-        # columns; they pin the block and must go before the views do.
-        self._vk_index.clear()
-        for view in self._views:
-            view.release()
-        self._views = ()
-        shm, self._shm = self._shm, None
-        shm.close()

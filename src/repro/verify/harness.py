@@ -415,7 +415,7 @@ class GeneratedTraceStore:
 
     Wraps the real store's memory cache and disk spill, so the
     engine pool's worker processes (which only ever see trace file paths
-    and shared-memory blocks, never workload names) work unchanged.
+    and the parent's decoded traces, never workload names) work unchanged.
     """
 
     def __init__(self, directory: Optional[str] = None):

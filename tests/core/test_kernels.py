@@ -59,7 +59,16 @@ def cross_validate(trace, config):
     over a fresh copy with nothing memoized, ``analyze`` on the plain
     record list, and the readable reference — all identical."""
     columnar = ColumnarTrace.from_buffer(trace)
-    fresh = ColumnarTrace(*columnar._columns(), columnar.segments)
+    fresh = ColumnarTrace(
+        columnar.opclass,
+        columnar.flags,
+        columnar.aux,
+        columnar.src_offsets,
+        columnar.src_values,
+        columnar.dest_offsets,
+        columnar.dest_values,
+        columnar.segments,
+    )
     frontier = frontier_analyze(columnar, config)
     reference = reference_analyze(columnar, config)
     assert_same_result(frontier, reference)

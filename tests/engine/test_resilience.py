@@ -1,10 +1,9 @@
 """Fault-tolerant grid execution: every recovery path, pinned.
 
 Each scenario injects a deterministic fault via :mod:`repro.engine.faults`
-(worker crash, hang, corrupted payload, shm attach failure, crash-looping
-pool) and asserts the grid still completes with results byte-identical to
-a fault-free serial run — plus journal resume after a mid-grid SIGKILL and
-the shared-memory sweep protocol.
+(worker crash, hang, corrupted payload, crash-looping pool) and asserts
+the grid still completes with results byte-identical to a fault-free
+serial run — plus journal resume after a mid-grid SIGKILL.
 """
 
 import json
@@ -13,7 +12,6 @@ import signal
 import subprocess
 import sys
 import time
-from multiprocessing import shared_memory
 
 import pytest
 
@@ -22,15 +20,12 @@ from repro.engine import AnalysisJob, ExperimentEngine
 from repro.engine.faults import ENV_DIR, ENV_SPEC, FaultPlan, FaultSpecError, parse_faults
 from repro.engine.progress import JOB_DONE, JOB_REPLAYED, JOB_RETRY
 from repro.engine.resilience import (
-    ENV_MANIFEST_DIR,
     PERMANENT,
     TRANSIENT,
     JournalError,
     RetryPolicy,
     RunJournal,
-    ShmManifest,
     classify_failure,
-    sweep_stale_manifests,
 )
 from repro.engine.serialize import result_to_bytes
 from repro.harness.runner import TraceStore
@@ -78,14 +73,12 @@ def wide_serial_bytes():
 
 @pytest.fixture
 def fault_env(monkeypatch, tmp_path):
-    """Arm REPRO_FAULTS with a fresh ticket dir; isolate the shm manifest."""
+    """Arm REPRO_FAULTS with a fresh ticket dir."""
 
     def arm(spec):
         monkeypatch.setenv(ENV_SPEC, spec)
         monkeypatch.setenv(ENV_DIR, str(tmp_path / "fault-state"))
-        monkeypatch.setenv(ENV_MANIFEST_DIR, str(tmp_path / "shm-manifests"))
 
-    monkeypatch.setenv(ENV_MANIFEST_DIR, str(tmp_path / "shm-manifests"))
     return arm
 
 
@@ -94,23 +87,12 @@ def engine_for(tmp_path, retries=2, jobs=2, **kwargs):
     return ExperimentEngine(jobs=jobs, retries=retries, **kwargs)
 
 
-def assert_no_shm_leaks(tmp_path):
-    """No manifest survives a finished grid; any block name a manifest
-    ever listed must be unattachable."""
-    manifest_dir = tmp_path / "shm-manifests"
-    if not manifest_dir.is_dir():
-        return
-    leftovers = [name for name in os.listdir(manifest_dir) if name.endswith(".manifest")]
-    assert leftovers == []
-
-
 class TestClassification:
     def test_transient_markers(self):
         for error in (
             "worker crashed (exit code 17)",
             "timeout: exceeded 0.05s per-job limit",
             "job lost after worker termination",
-            "RuntimeError: injected shm attach failure for block 'psm_x'",
             "corrupted result payload from worker (checksum mismatch)",
             "TraceFormatError: truncated record body",
             "FileNotFoundError: [Errno 2] No such file or directory",
@@ -164,6 +146,10 @@ class TestFaultHarness:
         with pytest.raises(FaultSpecError, match="unknown fault kind"):
             parse_faults("explode@1")
 
+    def test_parse_rejects_retired_shm_kind(self):
+        with pytest.raises(FaultSpecError, match="unknown fault kind"):
+            parse_faults("shm@0")
+
     def test_tickets_limit_firings(self, tmp_path):
         plan = FaultPlan(parse_faults("crash@1x2"), str(tmp_path))
         fired = [plan.should_fire("crash", 1) for _ in range(4)]
@@ -190,8 +176,21 @@ class TestWorkerCrashRecovery:
         # must funnel into a retry of grid index 2.
         outcome_events = [e for e in engine.telemetry.events if e.kind == JOB_RETRY]
         assert any(e.index == 2 for e in outcome_events)
-        assert_no_shm_leaks(tmp_path)
 
+    def test_respawned_worker_inherits_traces_at_hand(
+        self, serial_bytes, tmp_path, fault_env
+    ):
+        """Traces already on disk reach workers as the parent's decoded
+        copies; the worker that replaces a crashed one gets them too."""
+        warm = TraceStore(str(tmp_path / "traces"))
+        for workload in WORKLOADS:
+            warm.ensure_on_disk(workload, CAP)
+        fault_env("crash@1")
+        engine = engine_for(tmp_path, retries=2, jobs=2)
+        results = engine.analyze_grid(grid())
+        assert [result_to_bytes(result) for result in results] == serial_bytes
+        retried = [e for e in engine.telemetry.events if e.kind == JOB_RETRY]
+        assert any(e.index == 1 for e in retried)
 
     def test_death_mid_message_costs_only_that_job(
         self, serial_bytes, tmp_path, monkeypatch
@@ -206,7 +205,6 @@ class TestWorkerCrashRecovery:
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("the patched send reaches workers only when they fork")
-        monkeypatch.setenv(ENV_MANIFEST_DIR, str(tmp_path / "shm-manifests"))
         ticket = tmp_path / "died-once"
         real_put = pool._ResultPipe.put
 
@@ -242,7 +240,6 @@ class TestHangRecovery:
         assert any("timeout" in (e.error or "") for e in retried)
         # One timeout window plus the grid, not a stall: well under two windows.
         assert elapsed < 30.0
-        assert_no_shm_leaks(tmp_path)
 
 
 class TestCorruptResultRecovery:
@@ -255,23 +252,6 @@ class TestCorruptResultRecovery:
         assert [result_to_bytes(result) for result in results] == serial_bytes
         retried = [e for e in engine.telemetry.events if e.kind == JOB_RETRY]
         assert any("corrupted result payload" in (e.error or "") for e in retried)
-        assert_no_shm_leaks(tmp_path)
-
-
-class TestShmAttachRecovery:
-    def test_attach_failure_retried(self, serial_bytes, tmp_path, fault_env):
-        fault_env("shm@0")
-        # Only traces at hand travel as shared-memory blocks (a trace the
-        # pool generates is loaded from its file), so warm the cache first.
-        warm = TraceStore(str(tmp_path / "traces"))
-        for workload in WORKLOADS:
-            warm.ensure_on_disk(workload, CAP)
-        engine = engine_for(tmp_path, retries=2, jobs=2)
-        results = engine.analyze_grid(grid())
-        assert [result_to_bytes(result) for result in results] == serial_bytes
-        retried = [e for e in engine.telemetry.events if e.kind == JOB_RETRY]
-        assert any("shm attach" in (e.error or "") for e in retried)
-        assert_no_shm_leaks(tmp_path)
 
 
 class TestPermanentFailures:
@@ -296,7 +276,6 @@ class TestPermanentFailures:
             assert outcome.attempts == 3  # retries + 1
             assert "quarantined after 3 attempts" in outcome.error
         assert all(outcome.ok for outcome in outcomes[2:])
-        assert_no_shm_leaks(tmp_path)
 
 
 class TestPoolDegradation:
@@ -313,7 +292,6 @@ class TestPoolDegradation:
             results = engine.analyze_grid(wide_grid())
         assert [result_to_bytes(result) for result in results] == wide_serial_bytes
         assert any("serial" in message for message in caplog.messages)
-        assert_no_shm_leaks(tmp_path)
 
 
 class TestFailFast:
@@ -454,15 +432,11 @@ class TestSigkillResume:
             return 0
         return count
 
-    def test_resume_after_sigkill_reexecutes_only_unfinished(
-        self, serial_bytes, tmp_path, monkeypatch
-    ):
+    def test_resume_after_sigkill_reexecutes_only_unfinished(self, serial_bytes, tmp_path):
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         src = os.path.abspath(src)
         trace_dir = str(tmp_path / "traces")
         journal_dir = str(tmp_path / "journal")
-        manifest_dir = str(tmp_path / "shm-manifests")
-        monkeypatch.setenv(ENV_MANIFEST_DIR, manifest_dir)
 
         # Warm the trace cache so the driver starts analyzing immediately.
         warm = TraceStore(trace_dir)
@@ -472,7 +446,6 @@ class TestSigkillResume:
         env = dict(os.environ)
         env[ENV_SPEC] = "hang@3"  # the last job never finishes
         env[ENV_DIR] = str(tmp_path / "fault-state")
-        env[ENV_MANIFEST_DIR] = manifest_dir
 
         script = _DRIVER.format(src=src, cap=CAP, workloads=WORKLOADS)
         process = subprocess.Popen(
@@ -505,16 +478,6 @@ class TestSigkillResume:
             process.wait(timeout=30)
             process.stdout.close()
 
-        # The killed run leaked its shm manifest (and possibly blocks).
-        manifests = [
-            name for name in os.listdir(manifest_dir) if name.endswith(".manifest")
-        ]
-        assert manifests, "SIGKILL'd run should leave its manifest behind"
-        leaked_names = []
-        for name in manifests:
-            with open(os.path.join(manifest_dir, name)) as handle:
-                leaked_names += [line.strip() for line in handle if line.strip()]
-
         resumed = ExperimentEngine(
             store=TraceStore(trace_dir),
             jobs=2,
@@ -531,61 +494,6 @@ class TestSigkillResume:
         assert len(executed) == len(grid()) - journaled
         replay_events = [e for e in resumed.telemetry.events if e.kind == JOB_REPLAYED]
         assert len(replay_events) == journaled
-
-        # The startup sweep reclaimed the dead run's blocks: nothing left
-        # to attach, no manifest left behind by the finished resume run.
-        for name in leaked_names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name, create=False)
-        leftover = [
-            name for name in os.listdir(manifest_dir) if name.endswith(".manifest")
-        ]
-        assert leftover == []
-
-
-class TestShmManifest:
-    def test_sweep_reclaims_blocks_of_dead_runs(self, tmp_path):
-        manifest_dir = str(tmp_path / "manifests")
-        os.makedirs(manifest_dir)
-        block = shared_memory.SharedMemory(create=True, size=64)
-        name = block.name.lstrip("/")
-        block.close()
-        # A pid that is certainly dead: a subprocess that already exited.
-        probe = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                               capture_output=True, text=True)
-        dead_pid = int(probe.stdout.strip())
-        with open(os.path.join(manifest_dir, f"{dead_pid}.manifest"), "w") as handle:
-            handle.write(name + "\n")
-        reclaimed = sweep_stale_manifests(manifest_dir)
-        assert name in reclaimed
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name, create=False)
-        assert os.listdir(manifest_dir) == []
-
-    def test_live_pid_manifest_untouched(self, tmp_path):
-        manifest_dir = str(tmp_path / "manifests")
-        os.makedirs(manifest_dir)
-        path = os.path.join(manifest_dir, f"{os.getpid()}.manifest")
-        with open(path, "w") as handle:
-            handle.write("some_block\n")
-        assert sweep_stale_manifests(manifest_dir) == []
-        assert os.path.exists(path)
-        os.remove(path)
-
-    def test_register_release_roundtrip(self, tmp_path):
-        manifest = ShmManifest(str(tmp_path / "manifests"))
-        manifest.register("block_a")
-        manifest.register("block_b")
-        assert os.path.exists(manifest.path)
-        manifest.release("block_a")
-        manifest.release("block_b")
-        assert not os.path.exists(manifest.path)
-
-    def test_sweep_own_noop_in_forked_child(self, tmp_path):
-        manifest = ShmManifest(str(tmp_path / "manifests"))
-        manifest._pid = os.getpid() + 1  # simulate a fork
-        manifest.register("block_a")
-        assert manifest.sweep_own() == []
 
 
 class TestWorkerSignalIsolation:

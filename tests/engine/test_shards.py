@@ -13,7 +13,6 @@ from repro.engine import ExperimentEngine
 from repro.engine.faults import ENV_DIR, ENV_SPEC
 from repro.engine.pool import JobFailedError, _load_trace
 from repro.engine.progress import JOB_DONE, JOB_REPLAYED, JOB_RETRY
-from repro.engine.resilience import ENV_MANIFEST_DIR
 from repro.engine.serialize import (
     result_from_dict,
     result_to_bytes,
@@ -43,11 +42,6 @@ def trace_path(tmp_path, trace):
     return path
 
 
-@pytest.fixture
-def isolated_shm(monkeypatch, tmp_path):
-    monkeypatch.setenv(ENV_MANIFEST_DIR, str(tmp_path / "shm-manifests"))
-
-
 class TestParallelEquivalence:
     @pytest.mark.parametrize(
         "config",
@@ -58,16 +52,12 @@ class TestParallelEquivalence:
             AnalysisConfig(memory_disambiguation="conservative"),
         ],
     )
-    def test_pool_sharded_equals_whole(
-        self, trace_path, trace, config, isolated_shm
-    ):
+    def test_pool_sharded_equals_whole(self, trace_path, trace, config):
         engine = ExperimentEngine(jobs=2)
         result = shard_analyze_file(trace_path, config, shard_size=SHARD, engine=engine)
         assert result_to_dict(result) == result_to_dict(analyze(trace, config))
 
-    def test_ineligible_config_streams_sequentially(
-        self, trace_path, trace, isolated_shm
-    ):
+    def test_ineligible_config_streams_sequentially(self, trace_path, trace):
         config = AnalysisConfig(syscall_policy=OPTIMISTIC)
         engine = ExperimentEngine(jobs=2)
         result = shard_analyze_file(trace_path, config, shard_size=SHARD, engine=engine)
@@ -140,9 +130,7 @@ class TestSummarySerialization:
 
 
 class TestShardFaultRecovery:
-    def test_crash_mid_segment_retries_to_identical(
-        self, trace_path, trace, monkeypatch, tmp_path, isolated_shm
-    ):
+    def test_crash_mid_segment_retries_to_identical(self, trace_path, trace, monkeypatch, tmp_path):
         monkeypatch.setenv(ENV_SPEC, "crash@1")
         monkeypatch.setenv(ENV_DIR, str(tmp_path / "fault-state"))
         engine = ExperimentEngine(jobs=2, retries=2)
@@ -153,9 +141,7 @@ class TestShardFaultRecovery:
         retried = [e for e in engine.telemetry.events if e.kind == JOB_RETRY]
         assert retried, "the crashed segment job must have been retried"
 
-    def test_exhausted_retries_surface_as_failure(
-        self, trace_path, monkeypatch, tmp_path, isolated_shm
-    ):
+    def test_exhausted_retries_surface_as_failure(self, trace_path, monkeypatch, tmp_path):
         monkeypatch.setenv(ENV_SPEC, "crash@0x99,crash@1x99")
         monkeypatch.setenv(ENV_DIR, str(tmp_path / "fault-state"))
         engine = ExperimentEngine(jobs=2, retries=1)
@@ -167,7 +153,7 @@ class TestShardFaultRecovery:
 
 class TestShardJournalResume:
     def test_crashed_run_resumes_at_segment_granularity(
-        self, trace_path, trace, monkeypatch, tmp_path, isolated_shm
+        self, trace_path, trace, monkeypatch, tmp_path
     ):
         journal_dir = str(tmp_path / "journal")
         config = AnalysisConfig()

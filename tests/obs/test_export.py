@@ -116,9 +116,19 @@ class TestReport:
         text = render_run_report(load_run(str(path)))
         assert "run r1" in text
         assert "phase time shares" in text
-        assert "kernel" in text and "queue_wait" in text
+        assert "kernel" in text and "queue wait" in text
         assert "top 3 slowest jobs" in text
         assert "2 hit / 3 lookups (66.7%)" in text
+
+    def test_queue_wait_is_not_a_phase_share(self, tmp_path):
+        path = tmp_path / "r1.metrics.jsonl"
+        writer = MetricsWriter(str(path), "r1")
+        writer.write_job(job_row(0, seconds=1.0, queue_wait=9.0))
+        writer.write_grid(MetricsRegistry().snapshot(), jobs=1)
+        writer.close()
+        text = render_run_report(load_run(str(path)))
+        assert "  kernel           1.000s  100.0%" in text
+        assert "queue wait 9.000s over 1 queued job(s), 9.000s mean per job" in text
 
     def test_retry_histogram_rendered_when_attempts_vary(self, tmp_path):
         path = tmp_path / "r1.metrics.jsonl"
