@@ -24,6 +24,9 @@ these python loops. Every
 loop is cross-validated field-for-field against
 :mod:`repro.core.reference` over the full configuration grid
 (``tests/core/test_kernels.py``).
+
+:func:`trace_views` names the memoized trace views each loop, and each
+job method, reads.
 """
 
 from __future__ import annotations
@@ -55,3 +58,32 @@ def select_kernel(config: AnalysisConfig) -> str:
     if not plain:
         return KERNEL_GENERIC
     return KERNEL_DATAFLOW if config.window_size is None else KERNEL_WINDOWED
+
+
+#: Job methods (:data:`repro.engine.jobs.METHODS`) that iterate a trace's
+#: records rather than advance a frontier over its columns.
+_RECORD_METHODS = frozenset({"twopass", "reference", "oracle", "average_only", "statement"})
+
+
+def trace_views(config: AnalysisConfig, method: str = "forward", backend: str = "python") -> tuple:
+    """The memoized :class:`~repro.trace.columnar.ColumnarTrace` views, by
+    method name, that a job of ``method`` under ``config`` reads.
+
+    Record iteration reads the operand tuples, which are split by the
+    operand counts. The frontier loops read the census, and the
+    specialized loops pace their operand iterators by the counts, where
+    the generic loop reads the tuples. The vectorized backend reads none
+    of them, when it runs. The parallel engine builds these views on the
+    traces it hands its workers before it forks them
+    (:mod:`repro.engine.pool`).
+    """
+    if method in _RECORD_METHODS:
+        return ("operand_counts", "operand_tuples")
+    if method == "vkernel" or (method == "forward" and backend == "numpy"):
+        from repro.core import vkernels
+
+        if vkernels.available() and vkernels.eligible(config):
+            return ()
+    if select_kernel(config) == KERNEL_GENERIC:
+        return ("census", "operand_counts", "operand_tuples")
+    return ("census", "operand_counts")

@@ -74,18 +74,19 @@ class ResourceModel:
 class _SlotTable:
     """Per-level slot counts with union-find skip over full levels."""
 
-    __slots__ = ("capacity", "_used", "_next")
+    __slots__ = ("capacity", "used", "parents")
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._used: Dict[int, int] = {}
+        #: level -> slots taken at it.
+        self.used: Dict[int, int] = {}
         #: full level -> the next level that *might* have room (union-find
         #: parent pointers, compressed on lookup).
-        self._next: Dict[int, int] = {}
+        self.parents: Dict[int, int] = {}
 
     def first_free(self, level: int) -> int:
         """The first level >= ``level`` not known to be full."""
-        parents = self._next
+        parents = self.parents
         root = level
         path = []
         while root in parents:
@@ -97,10 +98,10 @@ class _SlotTable:
 
     def consume(self, level: int) -> None:
         """Take one slot at a (non-full) ``level``."""
-        used = self._used.get(level, 0) + 1
-        self._used[level] = used
+        used = self.used.get(level, 0) + 1
+        self.used[level] = used
         if used >= self.capacity:
-            self._next[level] = level + 1
+            self.parents[level] = level + 1
 
 
 class ResourceState:
@@ -115,6 +116,12 @@ class ResourceState:
             int(opclass): _SlotTable(count)
             for opclass, count in model.per_class.items()
         }
+
+    def universal_only(self) -> Optional[_SlotTable]:
+        """The universal slot table when the model caps no class of its
+        own, so that :meth:`place` is one ``first_free`` and ``consume`` on
+        it (the generic placement loop inlines those); else ``None``."""
+        return None if self._by_class else self._universal
 
     def place(self, opclass: int, earliest: int) -> int:
         """Return the first level >= ``earliest`` with a free slot for this

@@ -531,6 +531,14 @@ def _advance_generic(fr: Frontier, trace, start: int, end: int) -> None:
     life_get = life_hist.get
     share_get = share_hist.get
     resources = fr.resources
+    # A universal-only model places by first fit on one slot table, which
+    # the loop runs inline; per-class models go through ``place``.
+    slots = resources.universal_only() if resources is not None else None
+    if slots is not None:
+        slot_capacity = slots.capacity
+        slot_used = slots.used
+        slot_used_get = slot_used.get
+        slot_parents = slots.parents
     predictor = fr.predictor
     conservative_mem = fr.conservative_mem
     mem_store_level = fr.mem_store_level
@@ -669,7 +677,21 @@ def _advance_generic(fr: Frontier, trace, start: int, end: int) -> None:
                     level = mem_deepest_access + 1
 
         if resources is not None:
-            level = resources.place(klass, level)
+            if slots is None:
+                level = resources.place(klass, level)
+            else:
+                if level in slot_parents:
+                    # Skip the full levels, compressing the path walked.
+                    path = []
+                    while level in slot_parents:
+                        path.append(level)
+                        level = slot_parents[level]
+                    for node in path:
+                        slot_parents[node] = level
+                used = slot_used_get(level, 0) + 1
+                slot_used[level] = used
+                if used >= slot_capacity:
+                    slot_parents[level] = level + 1
 
         placed += 1
         if profile is not None:

@@ -167,7 +167,9 @@ class ResultCache:
         )
         try:
             with handle:
-                json.dump(entry, handle, sort_keys=True, separators=(",", ":"))
+                # One write of the C encoder's output: ``json.dump`` runs
+                # the pure-python encoder and writes each token on its own.
+                handle.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
             os.replace(handle.name, path)
         except BaseException:
             try:

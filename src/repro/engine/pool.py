@@ -4,9 +4,11 @@ Parallelization strategy: the parent plans each distinct input trace
 *once* (:meth:`TraceStore.plan`): a trace already at hand — in memory or
 in the on-disk trace cache, whose header digest keys the result cache — is
 decoded once in the parent, for the jobs that actually run, before any
-worker forks; the parent hands the workers those decoded traces as a
-process argument, which a forked worker inherits without a copy or a
-pickle. A trace that is missing becomes a *generation task* (compile,
+worker forks. The parent also builds on it the derived views those jobs
+read (:func:`repro.core.kernels.trace_views`: census, operand arities,
+operand tuples) and hands the workers the decoded traces as a process
+argument, which a forked worker inherits, views included, without a copy
+or a pickle. A trace that is missing becomes a *generation task* (compile,
 simulate, PGT2 write) on the same worker pool, queued ahead of the
 analysis jobs. When a generated trace lands, the parent resolves its jobs'
 cache lookups and queues the misses, which load the new ``.pgt`` file. So
@@ -28,8 +30,10 @@ lock, and every other worker's results, forever.
 Fork-safe bootstrap: workers rebuild all state from (path, spec) messages
 and the decoded-trace argument — nothing depends on inherited open file
 handles or parent caches — so the pool runs identically under ``fork``
-(fast, the default where available) and ``spawn``, where the argument is
-pickled once per worker: slower, but the same results.
+(fast, the default where available) and ``spawn``. A spawned worker's
+arguments are pickled down its launcher pipe, so under ``spawn`` every
+trace goes by path and each worker decodes its traces and builds their
+views itself: slower, but the same results.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as wait_for_any
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.kernels import trace_views
 from repro.engine import faults
 from repro.engine.cache import ResultCache, cache_key
 from repro.engine.jobs import AnalysisJob
@@ -526,10 +531,11 @@ def execute_jobs(
     others. ``prepare`` adds generation requests of its own
     (:class:`~repro.harness.runner.Generation` without paths, e.g. Table
     2's traces with their full runs); whatever they produce lands in the
-    store, never in the returned outcomes. Each distinct trace already at
-    hand is decoded once in the parent, before the first fork, and handed
-    to every worker (inherited under ``fork``, pickled under ``spawn``); a
-    worker-generated trace is loaded from its file.
+    store, never in the returned outcomes. Under ``fork`` each distinct
+    trace already at hand is decoded once in the parent, with the views
+    its jobs read built on it, before the first fork, and every worker
+    inherits it; under ``spawn``, and for a worker-generated trace, jobs
+    load the trace from its file.
 
     ``on_outcome`` is invoked with each outcome as it lands (journaling
     hook); ``max_respawns`` bounds replacement-worker spawns before the
@@ -654,10 +660,13 @@ def execute_jobs(
         return [outcome for outcome in outcomes if outcome is not None]
 
     # One trace reference per distinct input at hand: the parent's decoded
-    # trace, named by key in ``memory``, which every worker receives as a
-    # process argument; so every memory reference is made before the first
-    # fork. A worker-generated trace, or any trace first referenced after
-    # the fork, is referenced by its path: workers decode the file.
+    # trace, named by key in ``memory``, which every forked worker inherits
+    # as a process argument; so every memory reference is made before the
+    # first fork. A worker-generated trace, any trace first referenced
+    # after the fork, and every trace when workers are not forked (spawn
+    # would pickle ``memory`` down each worker's launcher pipe) is
+    # referenced by its path: workers decode the file.
+    start_method = resolve_start_method(start_method)
     memory: Dict[str, ColumnarTrace] = {}
     trace_refs: Dict[tuple, Tuple[str, str]] = {}
     ref_hook = getattr(store, "trace_ref", None)
@@ -685,7 +694,7 @@ def execute_jobs(
                 hook_ref = None
             if hook_ref is not None:
                 return (hook_ref[0], hook_ref[1])
-        if next_worker_id:
+        if next_worker_id or start_method != "fork":
             return ("path", path)
         key = ":".join(map(str, trace_key))
         try:
@@ -694,7 +703,7 @@ def execute_jobs(
             return ("path", path)
         return ("memory", key)
 
-    context = multiprocessing.get_context(resolve_start_method(start_method))
+    context = multiprocessing.get_context(start_method)
     task_queue = context.Queue()
     worker_count = min(
         njobs,
@@ -930,13 +939,23 @@ def execute_jobs(
 
     try:
         # Generations first, then the jobs whose traces are at hand, which
-        # the parent decodes here, before any worker forks.
+        # the parent decodes here, before any worker forks, and on which it
+        # builds the views those jobs read, for every worker to inherit.
         enqueued_at = time.time() if metrics else None
         for offset, (_, task) in enumerate(generations):
             task_queue.put((total + offset, None, task, enqueued_at))
+        views: Dict[str, set] = {}
         for index in runnable:
             job = jobs[index]
-            task_queue.put((index, job.canonical(), trace_ref(job), enqueued_at))
+            kind, target = trace_ref(job)
+            if kind == "memory":
+                views.setdefault(target, set()).update(
+                    trace_views(job.config, job.method, job.backend)
+                )
+            task_queue.put((index, job.canonical(), (kind, target), enqueued_at))
+        for key, names in views.items():
+            for name in sorted(names):
+                getattr(memory[key], name)()
         close_queue_when_planned()
         for _ in range(worker_count):
             spawn_worker()

@@ -30,6 +30,15 @@ whose tuples are interned: every record of one static instruction (and
 any other records with equal operands) shares one tuple object, so the
 view costs little more than two lists of pointers.
 
+Three views derived from the columns are memoized on the trace and built
+on first use: the whole-trace :meth:`census`, the per-record
+:meth:`operand_counts` and the :meth:`operand_tuples`. Each build counts
+one ``trace.views_built.<view>`` in the :mod:`repro.obs` registry, so a
+metrics export shows which process built what. Before its first fork the
+parallel engine builds, on every trace it hands its workers in memory,
+the views its queued jobs read (:func:`repro.core.kernels.trace_views`),
+and the workers inherit them with the columns.
+
 Content identity is preserved across every form: ``digest()`` equals the
 PGT2 header digest of the same records.
 """
@@ -42,6 +51,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.isa.opclasses import OpClass
+from repro.obs import metrics as obs
 from repro.trace.io import digest_records, read_trace_file
 from repro.trace.record import FLAG_CONDITIONAL, TraceRecord
 from repro.trace.segments import DEFAULT_SEGMENTS, SegmentMap
@@ -235,6 +245,7 @@ class ColumnarTrace:
                 conditional_branches += 1
         if whole:
             self._census = (syscalls, conditional_branches)
+            obs.inc("trace.views_built.census")
         return syscalls, conditional_branches
 
     def operand_counts(self) -> Tuple:
@@ -262,6 +273,7 @@ class ColumnarTrace:
                     counts[index] = hi - lo
                     lo = hi
             self._operand_counts = (src_counts, dest_counts)
+            obs.inc("trace.views_built.operand_counts")
         return self._operand_counts
 
     def operand_tuples(self, start: int = 0, end: Optional[int] = None) -> Tuple[list, list]:
@@ -297,6 +309,7 @@ class ColumnarTrace:
                 _split(self.src_values, src_counts),
                 _split(self.dest_values, dest_counts),
             )
+            obs.inc("trace.views_built.operand_tuples")
         src_tuples, dest_tuples = self._operand_tuples
         if whole:
             return src_tuples, dest_tuples

@@ -22,7 +22,7 @@ class TestSkipStructure:
         # a lookup from 0 compresses the whole chain to point at the root
         root = table.first_free(0)
         assert root == 5000
-        assert table._next[0] == root
+        assert table.parents[0] == root
 
     def test_mid_history_requests_fast(self):
         # dependence-earliest in the middle of a packed region: the skip

@@ -322,8 +322,8 @@ class TestIndexCache:
 
 @requires_numpy
 class TestPickledColumns:
-    """Under ``spawn`` the parallel engine's workers receive the parent's
-    decoded traces pickled; the copy must analyze identically."""
+    """A trace sent to another process by pickle, rather than inherited
+    through fork, must analyze identically."""
 
     def test_unpickled_trace_identical(self):
         local = columnar_trace(13, length=300)

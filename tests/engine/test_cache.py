@@ -42,6 +42,32 @@ class TestStoreLoad:
         assert cache.hits == 1 and cache.misses == 0
         assert len(cache) == 1
 
+    def test_entry_bytes_are_the_compact_sorted_encoding(self, tmp_path):
+        """An entry is written in one piece by the C encoder, and its bytes
+        are what the pure-python ``json.dump`` wrote before."""
+        import io
+
+        from repro.engine.serialize import result_to_dict
+
+        cache = ResultCache(str(tmp_path))
+        job = _job(config=AnalysisConfig(collect_lifetimes=True))
+        result = analyze(TRACE, job.config)
+        assert result.profile is not None and result.lifetimes is not None
+        key = cache_key(DIGEST, job)
+        cache.store(key, DIGEST, job, result)
+        entry = {
+            "schema": SCHEMA_VERSION,
+            "trace_digest": DIGEST,
+            "job": job.canonical(),
+            "result": result_to_dict(result),
+        }
+        expected = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        streamed = io.StringIO()
+        json.dump(entry, streamed, sort_keys=True, separators=(",", ":"))
+        assert streamed.getvalue() == expected
+        with open(os.path.join(str(tmp_path), f"{key}.json"), "rb") as handle:
+            assert handle.read() == expected.encode("utf-8")
+
     def test_miss_on_absent_key(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         assert cache.load(cache_key(DIGEST, _job())) is None

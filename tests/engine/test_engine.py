@@ -10,6 +10,8 @@ from repro.engine.pool import _load_trace
 from repro.engine.progress import JOB_CACHED, JOB_DONE, JOB_FAILED, EngineTelemetry
 from repro.engine.serialize import result_to_bytes
 from repro.harness.runner import TraceStore
+from repro.obs import metrics as obs
+from repro.obs.export import load_run
 
 CAP = 3000
 
@@ -60,14 +62,27 @@ class TestParallelDeterminism:
         assert [result_to_bytes(result) for result in results] == serial_bytes[: len(CONFIGS)]
 
     def test_spawned_workers_receive_traces_at_hand(self, serial_bytes, tmp_path):
-        """Under spawn the parent's decoded traces reach the workers
-        pickled, not inherited; the results must not differ."""
+        """Under spawn a trace at hand goes to the workers by path, so no
+        decoded trace rides a worker's launcher pipe; the results must not
+        differ."""
         trace_dir = str(tmp_path / "traces")
         TraceStore(trace_dir).ensure_on_disk(WORKLOADS[0], CAP)
-        engine = ExperimentEngine(store=TraceStore(trace_dir), jobs=2, start_method="spawn")
+        engine = ExperimentEngine(
+            store=TraceStore(trace_dir),
+            jobs=2,
+            start_method="spawn",
+            metrics=True,
+            journal_dir=str(tmp_path / "journal"),
+        )
         sub = [AnalysisJob(WORKLOADS[0], CAP, config) for config in CONFIGS]
-        results = engine.analyze_grid(sub)
+        try:
+            results = engine.analyze_grid(sub)
+        finally:
+            obs.disable()
         assert [result_to_bytes(result) for result in results] == serial_bytes[: len(CONFIGS)]
+        counters = load_run(engine.metrics_file)["grids"][-1]["registry"]["counters"]
+        assert counters["pool.trace_ref.path"] == 1
+        assert counters.get("pool.trace_ref.memory", 0) == 0
 
     def test_memory_only_store_gets_scratch_directory(self, serial_bytes):
         engine = ExperimentEngine(jobs=4)  # no trace dir given

@@ -9,7 +9,7 @@ import pytest
 from repro.core.config import OPTIMISTIC, AnalysisConfig
 from repro.core.latency import LatencyTable
 from repro.core.resources import ResourceModel
-from repro.engine.jobs import AnalysisJob
+from repro.engine.jobs import METHODS, AnalysisJob
 from repro.isa.opclasses import OpClass
 
 
@@ -187,6 +187,87 @@ class TestMethods:
         result = AnalysisJob("w", len(trace), method="oracle").run(trace)
         assert result.critical_path_length == expected.critical_path_length
         assert result.peak_live_well == -1  # oracle sentinel
+
+
+VIEW_CONFIGS = {
+    "dataflow": AnalysisConfig(),
+    "windowed": AnalysisConfig(window_size=16),
+    "generic": AnalysisConfig.no_renaming(),
+}
+
+#: Methods that analyze the whole trace; the chunked and segment methods
+#: read parts of it, which build fewer views than they are handed.
+WHOLE_TRACE_METHODS = (
+    "forward",
+    "twopass",
+    "vkernel",
+    "reference",
+    "oracle",
+    "average_only",
+    "statement",
+)
+
+
+def views_built(job, trace):
+    """The ``trace.views_built.*`` counters running ``job`` on ``trace``
+    increments, by view name."""
+    from repro.obs import metrics as obs
+
+    registry = obs.enable(obs.MetricsRegistry())
+    try:
+        job.run(trace)
+    finally:
+        obs.disable()
+    prefix = "trace.views_built."
+    return {
+        name[len(prefix):]: count
+        for name, count in registry.snapshot()["counters"].items()
+        if name.startswith(prefix)
+    }
+
+
+class TestTraceViews:
+    """``trace_views`` names exactly the memoized views each kernel and
+    each job method reads, so the pool's pre-fork build leaves workers
+    nothing to build."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        from repro.trace.synthetic import random_trace
+
+        return list(random_trace(seed=11, length=400, syscall_fraction=0.03))
+
+    def test_each_kernel_is_covered(self):
+        from repro.core.kernels import select_kernel
+
+        assert {select_kernel(config) for config in VIEW_CONFIGS.values()} == set(VIEW_CONFIGS)
+
+    @pytest.mark.parametrize("kernel", sorted(VIEW_CONFIGS))
+    @pytest.mark.parametrize(
+        "method,backend",
+        [(method, "python") for method in sorted(METHODS)] + [("forward", "numpy")],
+    )
+    def test_prebuilt_views_leave_nothing_to_build(self, records, kernel, method, backend):
+        from repro.core.kernels import trace_views
+        from repro.trace.columnar import ColumnarTrace
+
+        config = VIEW_CONFIGS[kernel]
+        job = AnalysisJob("w", len(records), config, method=method, backend=backend)
+        try:
+            fresh = views_built(job, ColumnarTrace.from_buffer(records))
+        except ValueError as error:  # e.g. a baseline that models no window
+            pytest.skip(f"{method} rejects the {kernel} config: {error}")
+        named = trace_views(config, method, backend)
+        trace = ColumnarTrace.from_buffer(records)
+        for name in named:
+            getattr(trace, name)()
+        assert views_built(job, trace) == {}
+
+        assert all(count == 1 for count in fresh.values())
+        if method in WHOLE_TRACE_METHODS:
+            assert set(fresh) == set(named)
+        else:
+            assert set(fresh) <= set(named)
 
 
 class TestJobBackend:

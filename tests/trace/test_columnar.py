@@ -149,6 +149,92 @@ class TestOperandTuples:
         assert builder.build().operand_tuples() == ([(4, 5, 6, 7), ()], [(1, 2, 3), (8,)])
 
 
+def views_built(action):
+    """Run ``action`` and return the ``trace.views_built.*`` counters it
+    increments, by view name."""
+    from repro.obs import metrics as obs
+
+    registry = obs.enable(obs.MetricsRegistry())
+    try:
+        action()
+    finally:
+        obs.disable()
+    prefix = "trace.views_built."
+    return {
+        name[len(prefix):]: count
+        for name, count in registry.snapshot()["counters"].items()
+        if name.startswith(prefix)
+    }
+
+
+class TestViews:
+    """The memoized views are the same whichever producer made the trace,
+    and whether the parallel engine builds them by name before it forks
+    its workers or a reader builds them on first use."""
+
+    @pytest.fixture
+    def produce(self, records, tmp_path):
+        path = tmp_path / "trace.pgt"
+        write_trace_file(path, ColumnarTrace.from_buffer(records))
+        return {
+            "from_buffer": lambda: ColumnarTrace.from_buffer(records),
+            "decode": lambda: read_trace_file(path),
+            "pickle": lambda: pickle.loads(pickle.dumps(ColumnarTrace.from_buffer(records))),
+        }
+
+    @pytest.mark.parametrize("producer", ["from_buffer", "decode", "pickle"])
+    def test_prebuilt_views_equal_lazy_ones(self, records, produce, producer):
+        from repro.core.analyzer import analyze
+        from repro.core.config import AnalysisConfig
+        from repro.core.kernels import trace_views
+
+        config = AnalysisConfig.no_renaming()
+        names = trace_views(config)
+        assert set(names) == {"census", "operand_counts", "operand_tuples"}
+        prebuilt = produce[producer]()
+        built = views_built(lambda: [getattr(prebuilt, name)() for name in names])
+        assert built == {name: 1 for name in names}
+        lazy = produce[producer]()
+        assert views_built(lambda: analyze(lazy, config)) == built
+        for name in names:
+            assert getattr(prebuilt, name)() == getattr(lazy, name)()
+        assert prebuilt.operand_counts() == (
+            array("q", [len(record[1]) for record in records]),
+            array("q", [len(record[2]) for record in records]),
+        )
+        assert prebuilt.operand_tuples() == (
+            [record[1] for record in records],
+            [record[2] for record in records],
+        )
+
+    def test_views_built_before_pickling_survive_it(self, records):
+        trace = ColumnarTrace.from_buffer(records)
+        trace.census()
+        trace.operand_tuples()
+        copy = pickle.loads(pickle.dumps(trace))
+        reads = views_built(lambda: (copy.census(), copy.operand_counts(), copy.operand_tuples()))
+        assert reads == {}
+        assert copy.census() == trace.census()
+        assert copy.operand_counts() == trace.operand_counts()
+        assert copy.operand_tuples() == trace.operand_tuples()
+
+    def test_parts_count_no_build(self, columnar):
+        fresh = ColumnarTrace(
+            columnar.opclass,
+            columnar.flags,
+            columnar.aux,
+            columnar.src_offsets,
+            columnar.src_values,
+            columnar.dest_offsets,
+            columnar.dest_values,
+            columnar.segments,
+        )
+        # A part's census and tuples are computed and not kept; the
+        # arities the split reads are the one view memoized.
+        built = views_built(lambda: (fresh.census(3, 250), fresh.operand_tuples(3, 250)))
+        assert built == {"operand_counts": 1}
+
+
 class TestSuiteTraceMemory:
     """A decoded suite trace shares operand tuples the way the simulator's
     records did, which keeps the tuple view no larger than the record list
@@ -189,9 +275,8 @@ class TestSuiteTraceMemory:
 
 
 class TestPickle:
-    """Under the ``spawn`` start method the parallel engine pickles the
-    parent's decoded traces into each worker; the copy must be the same
-    trace."""
+    """A trace sent to another process by pickle, rather than inherited
+    through fork, must arrive as the same trace."""
 
     def test_round_trip(self, records, columnar):
         copy = pickle.loads(pickle.dumps(columnar))
